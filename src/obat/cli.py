@@ -47,11 +47,14 @@ OK, FALSE, USAGE, INVALID = 0, 1, 2, 3
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except OSError as e:
         raise ValidationError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
@@ -398,6 +401,21 @@ def cmd_dot(args) -> int:
 # --- dispatch ---------------------------------------------------------------
 
 
+def _int_at_least(lo: int):
+    """argparse type for an integer bound; smaller values are usage errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obat",
@@ -440,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="compare two automata on bounded UP words")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-prefix", type=int, default=3)
-    p.add_argument("--max-period", type=int, default=4)
+    p.add_argument("--max-prefix", type=_int_at_least(0), default=3)
+    p.add_argument("--max-period", type=_int_at_least(1), default=4)
     p.set_defaults(run=cmd_equiv)
 
     p = sub.add_parser("posi-check", help="sample the local preference properties")
     p.add_argument("file")
-    p.add_argument("--max-prefix", type=int, default=2)
-    p.add_argument("--max-period", type=int, default=2)
+    p.add_argument("--max-prefix", type=_int_at_least(0), default=2)
+    p.add_argument("--max-period", type=_int_at_least(1), default=2)
     p.set_defaults(run=cmd_posi_check)
 
     p = sub.add_parser("stats", help="sizes, reachable residuals, record budget")

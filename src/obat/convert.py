@@ -377,13 +377,13 @@ def intertwine(w: UPWord) -> UPWord:
 
 
 def horizontal_complete_alphabet(universe: StateUniverse) -> dict[str, Tile]:
-    """All tiles generated by self-loop-only skeletons: 3^|Q| of them.
+    """All tiles generated by self-loop-only skeletons: 3^|Q| of them, |Q| <= 6.
 
     Letters are named by the per-state assignment, '-' absent, '1' or '0' the
     self-loop priority, minimum state first.
     """
     n = universe.size
-    if n > 4:
+    if n > 6:
         raise UsageError(
             f"horizontal-complete alphabet over {n} states would have {3 ** n} letters"
         )

@@ -8,8 +8,10 @@ emitted priority is even when an old candidate just took a Büchi transition
 and odd when an old candidate was dropped, whichever index is smaller.
 
 The module also computes the reachable-residual set R and the candidate
-record set S_R used by the tight-state-budget experiment, plus the
-lexicographic ε-completion of the determinized automaton.
+record set S_R used by the tight-state-budget experiment, by one walk over
+the letters' top-successor maps, plus the lexicographic ε-completion of the
+determinized automaton.  The tile monoid, from which R and S_R can also be
+read, lives in :mod:`obat.verify` as their brute-force oracle.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from .tiles import (
     Tile,
     UsageError,
     ValidationError,
-    product,
+    product,  # noqa: F401  bench/spans.py traces product and tile_monoid under this module
     successors,
     top_successor,
-    unit_tile,
 )
+from .verify import tile_monoid  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -183,35 +185,29 @@ def apply_eps_completion(d: ParityAutomaton) -> ParityAutomaton:
     )
 
 
-@dataclass
-class TileMonoidInfo:
-    """Products of alphabet tiles: the generated monoid and semigroup."""
+def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
+    """States reached from max(I) under the letters' top-successor maps, and
+    whether some letter's map is undefined on one of them.
 
-    monoid: list[Tile]  # every product of >= 0 letters (unit included)
-    semigroup: list[Tile]  # every product of >= 1 letter
-
-    @property
-    def has_empty_tile(self) -> bool:
-        return any(t.is_empty() for t in self.semigroup)
-
-
-def tile_monoid(a: OrderedBuchiAutomaton) -> TileMonoidInfo:
-    unit = unit_tile(a.universe)
-    generators = [a.alphabet[x] for x in sorted(a.alphabet)]
-    seen: set[Tile] = set(generators)
-    frontier = list(seen)
+    Empty initial set: nothing is reached and the initial set counts as killed.
+    """
+    if not a.initial:
+        return frozenset(), True
+    tiles = [a.alphabet[x] for x in sorted(a.alphabet)]
+    start = max(a.initial)
+    reached = {start}
+    frontier = [start]
+    kills = False
     while frontier:
-        nxt = []
-        for t in frontier:
-            for g in generators:
-                p = product(t, g)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    semigroup = sorted(seen, key=lambda t: sorted(t.transitions))
-    monoid = semigroup if unit in seen else [unit] + semigroup
-    return TileMonoidInfo(monoid=monoid, semigroup=semigroup)
+        q = frontier.pop()
+        for t in tiles:
+            r = top_successor(t, q)
+            if r is None:
+                kills = True
+            elif r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    return frozenset(reached), kills
 
 
 def reachable_residuals(a: OrderedBuchiAutomaton) -> frozenset[int]:
@@ -219,26 +215,25 @@ def reachable_residuals(a: OrderedBuchiAutomaton) -> frozenset[int]:
 
     These are the top successors of max(I) across the tile monoid: each one
     is the maximum of a reachable downward-closed set, hence defines a
-    residual of the language.  Empty initial set gives the empty answer.
+    residual of the language.  A closed tile's successor set of q is the
+    downward closure of its top successor, and its top-successor map is
+    monotone with an upward-closed domain, so the top successor of a product
+    is the composition of its factors' maps.  The answer is therefore the
+    set of states reachable from max(I) under the per-letter maps, max(I)
+    itself included for the unit tile: O(n·|Γ|) top-successor calls, no
+    monoid.  Empty initial set gives the empty answer.
     """
-    if not a.initial:
-        return frozenset()
-    q_top = max(a.initial)
-    info = tile_monoid(a)
-    out = set()
-    for t in info.monoid:
-        q = top_successor(t, q_top)
-        if q is not None:
-            out.add(q)
-    return frozenset(out)
+    return _walk_from_initial(a)[0]
 
 
 def kills_initial(a: OrderedBuchiAutomaton) -> bool:
-    """Whether some nonempty product of alphabet tiles has no successor of max(I)."""
-    if not a.initial:
-        return True
-    q_top = max(a.initial)
-    return any(top_successor(t, q_top) is None for t in tile_monoid(a).semigroup)
+    """Whether some nonempty product of alphabet tiles has no successor of max(I).
+
+    By the composition argument of :func:`reachable_residuals`, a product
+    kills max(I) exactly when some letter's top-successor map is undefined
+    on a state reachable from max(I).  True for an empty initial set.
+    """
+    return _walk_from_initial(a)[1]
 
 
 def enumerate_records(n: int) -> Iterator[Record]:
@@ -254,11 +249,13 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
 
     The empty record is included exactly when some nonempty product of tiles
     kills the initial set (for a top-anchored initial set this is the same as
-    the empty tile being generable).
+    the empty tile being generable).  Both parts come from one walk over the
+    composed top-successor maps (see :func:`reachable_residuals`), so the cost
+    is O(n·|Γ|) top-successor calls plus the record enumeration.
     """
-    heads = reachable_residuals(a)
+    heads, kills = _walk_from_initial(a)
     out = {r for r in enumerate_records(a.universe.size) if r.entries and r.entries[0] in heads}
-    if kills_initial(a):
+    if kills:
         out.add(EMPTY_RECORD)
     return frozenset(out)
 

@@ -1,11 +1,13 @@
 """Independent oracles and property harnesses.
 
 skeleton_oracle recomputes skeletons by brute-force subset enumeration;
-equiv_up compares two membership oracles over every ultimately-periodic word
-within bounds; check_local_preference samples the three factor-closure
-properties that characterize Eve-positional languages.  All enumeration runs
-in a fixed order (prefix length, period length, lexicographic) so reported
-counterexamples are reproducible.
+tile_monoid builds the whole monoid generated by an alphabet, from which
+monoid_residuals reads R_A and the kills-max(I) flag that ``obat.determinize``
+computes by a top-successor walk; equiv_up compares two membership oracles
+over every ultimately-periodic word within bounds; check_local_preference
+samples the three factor-closure properties that characterize Eve-positional
+languages.  All enumeration runs in a fixed order (prefix length, period
+length, lexicographic) so reported counterexamples are reproducible.
 
 The preference properties quantify over arbitrary infinite continuations in
 their general form; since ω-regular languages are determined by their
@@ -19,8 +21,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .automata import UPWord
-from .tiles import Skeleton, Tile, UsageError, upward_closure
+from .automata import OrderedBuchiAutomaton, UPWord
+from .tiles import (
+    Skeleton,
+    Tile,
+    UsageError,
+    product,
+    top_successor,
+    unit_tile,
+    upward_closure,
+)
 
 
 def skeleton_oracle(t: Tile) -> Skeleton:
@@ -44,6 +54,53 @@ def skeleton_oracle(t: Tile) -> Skeleton:
                 )
             return Skeleton(t.universe, frozenset(found[0]))
     raise AssertionError("no generating subset found (tile not upward-closed?)")
+
+
+@dataclass
+class TileMonoidInfo:
+    """Products of alphabet tiles: the generated monoid and semigroup."""
+
+    monoid: list[Tile]  # every product of >= 0 letters (unit included)
+    semigroup: list[Tile]  # every product of >= 1 letter
+
+    @property
+    def has_empty_tile(self) -> bool:
+        return any(t.is_empty() for t in self.semigroup)
+
+
+def tile_monoid(a: OrderedBuchiAutomaton) -> TileMonoidInfo:
+    """Closure of the alphabet under product; exponential in the alphabet."""
+    unit = unit_tile(a.universe)
+    generators = [a.alphabet[x] for x in sorted(a.alphabet)]
+    seen: set[Tile] = set(generators)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in generators:
+                p = product(t, g)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    semigroup = sorted(seen, key=lambda t: sorted(t.transitions))
+    monoid = semigroup if unit in seen else [unit] + semigroup
+    return TileMonoidInfo(monoid=monoid, semigroup=semigroup)
+
+
+def monoid_residuals(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
+    """R_A and whether a nonempty product kills max(I), read off the whole monoid.
+
+    R_A is the set of top successors of max(I) across the monoid; an empty
+    initial set gives (∅, True).
+    """
+    if not a.initial:
+        return frozenset(), True
+    q_top = max(a.initial)
+    info = tile_monoid(a)
+    tops = [top_successor(t, q_top) for t in info.monoid]
+    kills = any(top_successor(t, q_top) is None for t in info.semigroup)
+    return frozenset(q for q in tops if q is not None), kills
 
 
 MemberFn = Callable[[UPWord], bool]

@@ -233,18 +233,20 @@ def test_omega_power_criterion(corpus):
     return f"{checked} tiles across {len(corpus)} automata"
 
 
-@criterion(10, "optimality: horizontal-complete reachable set is exactly S_R; "
-               "every reachable record sits in S_R")
+@criterion(10, "optimality: horizontal-complete reachable set is exactly S_R "
+               "and meets the record bound; every reachable record sits in S_R")
 def test_optimality_experiment(corpus):
     sizes = {}
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         u = StateUniverse(tuple(f"q{i}" for i in range(n)))
         a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
         det = determinize(a)
         reached = {tuple(det.records[s]) for s in det.states}
         budget = {r.entries for r in candidate_records(a)}
         assert reached == budget, f"|Q|={n}: {sorted(reached)} != {sorted(budget)}"
+        assert len(reached) == record_count_bound(n), f"|Q|={n}: {len(reached)} records"
         sizes[n] = len(reached)
+    assert sizes[4] == 11 and sizes[5] == 35
     for name, a, det in corpus:
         budget = {r.entries for r in candidate_records(a)}
         for s in det.states:

@@ -218,6 +218,29 @@ class TestCommands:
     def test_unknown_letter_usage(self, inf_a_file):
         assert main(["member", inf_a_file, "--period", "z"]) == USAGE
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"ordered-buchi"', "null"])
+    def test_non_object_document_invalid(self, tmp_path, capsys, text):
+        path = tmp_path / "not-an-object.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == FALSE
+        assert "JSON object" in capsys.readouterr().out
+        assert main(["stats", str(path)]) == INVALID
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--max-prefix", "-1"], ["--max-period", "0"], ["--max-prefix", "-1", "--max-period", "0"]],
+    )
+    def test_vacuous_enumeration_bounds_usage(self, inf_a_file, capsys, bounds):
+        assert main(["equiv", inf_a_file, inf_a_file, *bounds]) == USAGE
+        assert main(["posi-check", inf_a_file, *bounds]) == USAGE
+        captured = capsys.readouterr()
+        assert "must be at least" in captured.err and "equal within bounds" not in captured.out
+
+    def test_smallest_enumeration_bounds_accepted(self, inf_a_file, capsys):
+        assert main(["equiv", inf_a_file, inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
+        assert main(["posi-check", inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
+
     def test_unparseable_file_invalid(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

@@ -259,6 +259,6 @@ class TestHorizontalCompleteAlphabet:
             assert unit_tile(u) in set(horizontal_complete_alphabet(u).values())
 
     def test_oversize_rejected(self):
-        u = StateUniverse(tuple(f"q{i}" for i in range(5)))
+        u = StateUniverse(tuple(f"q{i}" for i in range(7)))
         with pytest.raises(UsageError):
             horizontal_complete_alphabet(u)

@@ -26,12 +26,19 @@ from obat.determinize import (
     kills_initial,
     reachable_residuals,
     record_count_bound,
-    tile_monoid,
 )
+from obat.convert import parity_to_oba, rabin_to_oba
 from obat.tiles import ValidationError, successors
-from obat.verify import equiv_up
+from obat.verify import equiv_up, monoid_residuals, tile_monoid
 
-from zoo import inf_a, random_oba
+from zoo import (
+    determinization_corpus,
+    eps_complete_corpus,
+    inf_a,
+    rabin_behavioral_two_pair,
+    random_oba,
+    random_tile,
+)
 
 
 class TestRecord:
@@ -230,6 +237,48 @@ class TestCandidateRecords:
             u, frozenset({0, 1}), {"z": upward_closure(u, [])}
         )
         assert tile_monoid(a).has_empty_tile
+
+
+def _random_walk_case(rng: random.Random) -> OrderedBuchiAutomaton:
+    """1-5 states, 0-4 letters, possibly empty (always downward-closed) initial set."""
+    n = rng.randint(1, 5)
+    u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+    letters = "abcd"[: rng.randint(0, 4)]
+    initial = frozenset(range(rng.randint(0, n)))
+    return OrderedBuchiAutomaton(u, initial, {x: random_tile(rng, u) for x in letters})
+
+
+def _zoo_automata():
+    yield from determinization_corpus()
+    yield "rabin-behavioral-two-pair", rabin_to_oba(rabin_behavioral_two_pair())[0]
+    for name, p in eps_complete_corpus():
+        yield f"parity-{name}", parity_to_oba(p)[0]
+
+
+class TestResidualWalkAgainstMonoid:
+    """The top-successor walk agrees with R_A and S_R read off the whole monoid."""
+
+    @staticmethod
+    def _check(name, a):
+        heads, kills = monoid_residuals(a)
+        assert reachable_residuals(a) == heads, name
+        assert kills_initial(a) == kills, name
+        expected = {r for r in enumerate_records(a.universe.size) if r.head in heads}
+        if kills:
+            expected.add(EMPTY_RECORD)
+        assert candidate_records(a) == expected, name
+
+    def test_seeded_random_automata(self):
+        rng = random.Random(4242)
+        cases = [_random_walk_case(rng) for _ in range(320)]
+        assert any(not a.initial for a in cases) and any(not a.alphabet for a in cases)
+        assert {a.universe.size for a in cases} == {1, 2, 3, 4, 5}
+        for i, a in enumerate(cases):
+            self._check(f"random-{i}", a)
+
+    def test_zoo(self):
+        for name, a in _zoo_automata():
+            self._check(name, a)
 
 
 class TestRecordCountBound:

@@ -259,45 +259,86 @@ def _scc_partition(nodes, succ) -> dict:
     return comp
 
 
+_MISS = object()
+
+
+def _walk(memo: dict, word: tuple, start, step):
+    """Fold ``step`` over the letters of ``word`` from ``start``, memoized per word.
+
+    The memo holds one entry per queried word and nothing for the words
+    walked through on the way.  On a miss the walk resumes from the entry
+    for ``word[:-1]`` if there is one (enumerations query every shorter word
+    first, so they pay one step per word), and otherwise from ``start``.  A
+    query therefore costs O(|word|) memory and no recursion, whatever its
+    length.
+    """
+    cur = memo.get(word, _MISS)
+    if cur is not _MISS:
+        return cur
+    cur = memo.get(word[:-1], _MISS)  # () is no hit here: it missed above
+    if cur is _MISS:
+        cur, rest = start, word
+    else:
+        rest = word[-1:]
+    for x in rest:
+        cur = step(cur, x)
+    memo[word] = cur
+    return cur
+
+
+def _post(succ: dict, states: frozenset) -> frozenset:
+    """Image of ``states`` under a successor map (state -> frozenset of states)."""
+    out: set = set()
+    for p in states:
+        out.update(succ.get(p, ()))
+    return frozenset(out)
+
+
+def _require_letters(letters: frozenset, w: UPWord) -> None:
+    """Raise a usage error naming the first letter of ``w`` outside ``letters``."""
+    if letters.issuperset(w.prefix) and letters.issuperset(w.period):
+        return
+    for x in w.prefix + w.period:
+        if x not in letters:
+            raise UsageError(f"unknown letter {x!r}")
+
+
 class ObaOracle:
     """Exact UP-word membership for an ordered Büchi automaton.
 
     A word u·v^ω is accepted iff some state reachable at a period boundary
     lies, in the period-unrolled graph, in a strongly connected component
-    containing a Büchi edge.  Queries are memoized per prefix and period.
+    containing a Büchi edge.  Queries are memoized per queried prefix and
+    period.  A morphism is folded into the letter table at construction, so
+    its letters index the tiles directly.
     """
 
     def __init__(self, a: OrderedBuchiAutomaton, morphism: Morphism | None = None):
         self.automaton = a
         self.morphism = morphism
+        names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
+        # query letter -> tile; a letter mapped to a missing tile is left out
+        self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
         self._succ: dict[str, dict[int, frozenset[int]]] = {}
-        for letter, tile in a.alphabet.items():
+        for x, tile in self._tile.items():
             by_src: dict[int, set[int]] = {}
             for (p, _, q) in tile.transitions:
                 by_src.setdefault(p, set()).add(q)
-            self._succ[letter] = {p: frozenset(qs) for p, qs in by_src.items()}
-        self._prefix_reach: dict[tuple[str, ...], frozenset[int]] = {(): a.initial}
+            self._succ[x] = {p: frozenset(qs) for p, qs in by_src.items()}
+        self._letters = frozenset(self._succ)
+        self._prefix_reach: dict[tuple[str, ...], frozenset[int]] = {}
         self._boundary: dict[tuple[frozenset[int], tuple[str, ...]], frozenset[int]] = {}
         self._acc: dict[tuple[str, ...], frozenset[int]] = {}
 
     def _check_letters(self, w: UPWord) -> None:
-        for x in w.prefix + w.period:
-            if x not in self._succ:
-                raise UsageError(f"unknown letter {x!r}")
+        if self.morphism is None:
+            _require_letters(self._letters, w)
+        elif not (self._letters.issuperset(w.prefix) and self._letters.issuperset(w.period)):
+            # name the letter outside the domain, else the missing tile
+            _require_letters(frozenset(self.automaton.alphabet), self.morphism.apply(w))
 
-    def _step(self, letter: str, states: frozenset[int]) -> frozenset[int]:
-        table = self._succ[letter]
-        out: set[int] = set()
-        for p in states:
-            out |= table.get(p, frozenset())
-        return frozenset(out)
-
-    def _after_prefix(self, prefix: tuple[str, ...]) -> frozenset[int]:
-        if prefix in self._prefix_reach:
-            return self._prefix_reach[prefix]
-        s = self._step(prefix[-1], self._after_prefix(prefix[:-1]))
-        self._prefix_reach[prefix] = s
-        return s
+    def _step(self, states: frozenset[int], letter: str) -> frozenset[int]:
+        return _post(self._succ[letter], states)
 
     def _boundary_states(self, start: frozenset[int], period: tuple[str, ...]) -> frozenset[int]:
         """All states seen at period boundaries: union over k of states after v^k."""
@@ -309,7 +350,7 @@ class ObaOracle:
         cur = start
         while True:
             for letter in period:
-                cur = self._step(letter, cur)
+                cur = self._step(cur, letter)
             if cur in seen:
                 break
             seen.add(cur)
@@ -327,7 +368,7 @@ class ObaOracle:
         succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
         buchi_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
         for i, letter in enumerate(period):
-            tile = a.alphabet[letter]
+            tile = self._tile[letter]
             j = (i + 1) % length
             for (p, c, q) in tile.transitions:
                 node, nxt = (p, i), (q, j)
@@ -342,10 +383,8 @@ class ObaOracle:
         return result
 
     def member(self, w: UPWord) -> bool:
-        if self.morphism is not None:
-            w = self.morphism.apply(w)
         self._check_letters(w)
-        start = self._after_prefix(w.prefix)
+        start = _walk(self._prefix_reach, w.prefix, self.automaton.initial, self._step)
         reach = self._boundary_states(start, w.period)
         return bool(reach & self._accepting_boundary_states(w.period))
 
@@ -383,26 +422,13 @@ class DpaOracle:
                 raise UsageError("DpaOracle does not handle ε-transitions")
             self._delta[(p, a)] = (c, q)
         (self._initial,) = d.initial
-        self._after: dict[tuple[str, ...], str | None] = {(): self._initial}
+        self._letters = d.effective_alphabet
+        self._after: dict[tuple[str, ...], str | None] = {}
         self._lasso: dict[tuple[str | None, tuple[str, ...]], bool] = {}
 
-    def _check_letters(self, w: UPWord) -> None:
-        ok = self.automaton.effective_alphabet
-        for x in w.prefix + w.period:
-            if x not in ok:
-                raise UsageError(f"unknown letter {x!r}")
-
-    def _run_prefix(self, prefix: tuple[str, ...]) -> str | None:
-        if prefix in self._after:
-            return self._after[prefix]
-        prev = self._run_prefix(prefix[:-1])
-        if prev is None:
-            result = None
-        else:
-            hit = self._delta.get((prev, prefix[-1]))
-            result = hit[1] if hit else None
-        self._after[prefix] = result
-        return result
+    def _step(self, state: str | None, letter: str) -> str | None:
+        hit = self._delta.get((state, letter))  # a dead run (None) has no successor
+        return hit[1] if hit else None
 
     def _lasso_accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         key = (state, period)
@@ -436,8 +462,8 @@ class DpaOracle:
         return result
 
     def member(self, w: UPWord) -> bool:
-        self._check_letters(w)
-        return self._lasso_accepts(self._run_prefix(w.prefix), w.period)
+        _require_letters(self._letters, w)
+        return self._lasso_accepts(_walk(self._after, w.prefix, self._initial, self._step), w.period)
 
     __call__ = member
 
@@ -482,6 +508,11 @@ def _mat_key(a: _Matrix):
     return frozenset((p, q, vals) for p, row in a.items() for q, vals in row.items())
 
 
+def _support(a: _Matrix) -> dict[str, frozenset[str]]:
+    """Successor sets of a matrix: the entries that hold some value."""
+    return {p: frozenset(q for q, vals in row.items() if vals) for p, row in a.items()}
+
+
 class NpaOracle:
     """Exact UP-word membership for parity automata with ε-transitions.
 
@@ -490,7 +521,9 @@ class NpaOracle:
     allowed and consume at least one ε-transition each (the intertwined-word
     reading); the period must contain at least one real letter.
 
-    Matrix entries collect every least-priority value achievable between two
+    The prefix only decides where the period starts, so it is walked as a
+    state set through the support of each ε-closed letter.  Period matrix
+    entries collect every least-priority value achievable between two
     states, so iterating powers of the period matrix until they repeat covers
     every lasso shape.
     """
@@ -501,18 +534,19 @@ class NpaOracle:
         for (p, x, c, q) in a.transitions:
             row = self._rel.setdefault(x, {}).setdefault(p, {})
             row[q] = row.get(q, frozenset()) | {c}
+        self._letters = a.effective_alphabet | {EPS} | set(self._rel)
+        self._unit: _Matrix = {p: {p: frozenset({_TOP})} for p in a.states}
         self._eclosure = self._compute_eclosure()
         self._letter_mat: dict[str, _Matrix] = {}
-        self._word_mat: dict[tuple[str, ...], _Matrix] = {(): self._identity()}
+        self._letter_supp: dict[str, dict[str, frozenset[str]]] = {}
+        self._prefix_reach: dict[tuple[str, ...], frozenset[str]] = {}
+        self._word_mat: dict[tuple[str, ...], _Matrix] = {}
         self._acc: dict[tuple[str, ...], frozenset[str]] = {}
         self._boundary: dict[tuple[frozenset[str], tuple[str, ...]], frozenset[str]] = {}
 
-    def _identity(self) -> _Matrix:
-        return {p: {p: frozenset({_TOP})} for p in self.automaton.states}
-
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
-        e = self._identity()
+        e = self._unit
         while True:
             step = _mat_union(e, _mat_mul(e, eps))
             if _mat_key(step) == _mat_key(e):
@@ -525,16 +559,18 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _word(self, word: tuple[str, ...]) -> _Matrix:
-        if word not in self._word_mat:
-            self._word_mat[word] = _mat_mul(self._word(word[:-1]), self._letter(word[-1]))
-        return self._word_mat[word]
+    def _step(self, states: frozenset[str], x: str) -> frozenset[str]:
+        """States after the ε-closed letter ``x``: the prefix walk needs no priorities."""
+        if x not in self._letter_supp:
+            self._letter_supp[x] = _support(self._letter(x))
+        return _post(self._letter_supp[x], states)
+
+    def _word(self, period: tuple[str, ...]) -> _Matrix:
+        """Value-set matrix of a period; acceptance needs its least priorities."""
+        return _walk(self._word_mat, period, self._unit, lambda m, x: _mat_mul(m, self._letter(x)))
 
     def _check(self, w: UPWord) -> None:
-        ok = self.automaton.effective_alphabet | {EPS} | set(self._rel)
-        for x in w.prefix + w.period:
-            if x not in ok:
-                raise UsageError(f"unknown letter {x!r}")
+        _require_letters(self._letters, w)
         if all(x == EPS for x in w.period):
             raise UsageError("period must contain a non-ε letter")
 
@@ -560,16 +596,12 @@ class NpaOracle:
         key = (start, period)
         if key in self._boundary:
             return self._boundary[key]
-        v = self._word(period)
-        supp = {p: frozenset(q for q, vals in row.items() if vals) for p, row in v.items()}
+        supp = _support(self._word(period))
         seen = {start}
         union = set(start)
         cur = start
         while True:
-            nxt: set[str] = set()
-            for p in cur:
-                nxt |= supp.get(p, frozenset())
-            cur = frozenset(nxt)
+            cur = _post(supp, cur)
             if cur in seen:
                 break
             seen.add(cur)
@@ -580,11 +612,7 @@ class NpaOracle:
 
     def member(self, w: UPWord) -> bool:
         self._check(w)
-        a = self.automaton
-        prefix_mat = self._word(w.prefix)
-        start = frozenset(
-            q for p in a.initial for q, vals in prefix_mat.get(p, {}).items() if vals
-        )
+        start = _walk(self._prefix_reach, w.prefix, self.automaton.initial, self._step)
         reach = self._boundary_states(start, w.period)
         return bool(reach & self._accepting_states(w.period))
 

@@ -1,0 +1,208 @@
+"""Prefix walks of the membership oracles: long words, the NPA start set, the morphism fold.
+
+The long-word tests run at Python's default recursion limit, so an oracle
+that recursed once per letter would fail them.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import obat
+from obat import (
+    EPS,
+    DpaOracle,
+    Morphism,
+    NpaOracle,
+    ObaOracle,
+    ParityAutomaton,
+    UsageError,
+    apply_eps_completion,
+    determinize,
+    intertwine,
+    rabin_to_oba,
+    up,
+)
+from obat.automata import _TOP, _mat_mul
+from obat.cli import USAGE, main, oba_to_doc
+
+from zoo import (
+    determinization_corpus,
+    eps_complete_corpus,
+    fig_inf_aa_fin_bb,
+    fig_inf_aa_fin_bb_oracle,
+    fig_inf_b_or_bb_inf_a,
+    fig_inf_b_or_bb_inf_a_oracle,
+    rabin_two_pair,
+)
+
+DEFAULT_RECURSION_LIMIT = 1000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def _long_words(rng):
+    """Words with a 5,000-letter prefix or a 2,000-letter period, both verdicts of each figure."""
+    words = [
+        up("a" * 4000 + "bb" + "a" * 998, "a"),  # bb only deep in the prefix
+        up("ab" * 2500, "a"),
+        up("ab" * 2500, "aab"),
+        up("aab" * 1666 + "aa", "b"),
+        up("b", "a" * 1999 + "b"),
+        up("", "ab" * 1000),
+        up("", "a" * 1000 + "bb" + "a" * 998),
+    ]
+    for _ in range(3):
+        words.append(up(rng.choices("ab", k=5000), rng.choices("ab", k=rng.randint(1, 4))))
+        words.append(up(rng.choices("ab", k=rng.randint(0, 5)), rng.choices("ab", k=2000)))
+    return words
+
+
+FIGURES = [
+    (fig_inf_aa_fin_bb, fig_inf_aa_fin_bb_oracle),
+    (fig_inf_b_or_bb_inf_a, fig_inf_b_or_bb_inf_a_oracle),
+]
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("make, hand", FIGURES)
+    def test_three_flavours_at_default_limit(self, make, hand, default_recursion_limit):
+        a = make()
+        det = determinize(a)
+        oba, dpa, npa = ObaOracle(a), DpaOracle(det), NpaOracle(apply_eps_completion(det))
+        verdicts = set()
+        for w in _long_words(random.Random(3)):
+            want = hand(w)
+            verdicts.add(want)
+            assert oba(w) == want, w
+            assert dpa(w) == want, w
+            assert npa(intertwine(w)) == want, w
+        assert verdicts == {True, False}
+
+    def test_dead_dpa_run_stays_dead(self, default_recursion_limit):
+        d = ParityAutomaton(
+            states=("q",),
+            initial=frozenset({"q"}),
+            index=(0, 1),
+            transitions=frozenset({("q", "a", 0, "q")}),
+            deterministic=True,
+            alphabet=frozenset("ab"),
+        )
+        dpa = DpaOracle(d)
+        assert dpa(up("a" * 5000, "a"))
+        assert not dpa(up("a" * 10 + "b" + "a" * 4989, "a"))
+        assert not dpa(up("a" * 10 + "b" + "a" * 4990, "a"))
+
+    def test_cli_member_long_prefix(self, tmp_path):
+        path = tmp_path / "fig.json"
+        path.write_text(json.dumps(oba_to_doc(fig_inf_b_or_bb_inf_a())))
+        prefix = " ".join("a" * 4000 + "bb" + "a" * 998)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(obat.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-m", "obat", "member", str(path), "--prefix", prefix, "--period", "a"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "true"
+        assert "Traceback" not in run.stderr
+
+
+def _random_word(rng, letters, max_prefix, max_period):
+    prefix = rng.choices(letters, k=rng.randint(0, max_prefix))
+    return up(prefix, rng.choices(letters, k=rng.randint(1, max_period)))
+
+
+def _npas():
+    yield from eps_complete_corpus()
+    for name, a in determinization_corpus(count=12, seed=41):
+        yield name, apply_eps_completion(determinize(a))
+
+
+class TestWalkDifferential:
+    def test_npa_start_set_matches_matrix_product(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for name, a in _npas():
+            npa = NpaOracle(a)
+            letters = sorted(a.effective_alphabet)
+            for _ in range(3):
+                word = rng.choices(letters + [EPS], k=rng.randint(0, 60))
+                period = (rng.choice(letters),)
+                # every prefix of the word in turn, as an enumeration queries them
+                m = {p: {p: frozenset({_TOP})} for p in a.states}
+                for k in range(len(word) + 1):
+                    if k:
+                        m = _mat_mul(m, npa._letter(word[k - 1]))
+                    npa(up(word[:k], period))
+                    want = frozenset(q for p in a.initial for q, vals in m.get(p, {}).items() if vals)
+                    assert npa._prefix_reach[tuple(word[:k])] == want, (name, word[:k])
+                    checked += 1
+        assert checked > 1000
+
+    def test_three_flavours_agree_on_determinization_corpus(self):
+        rng = random.Random(20261019)
+        for name, a in determinization_corpus():
+            det = determinize(a)
+            oba, dpa, npa = ObaOracle(a), DpaOracle(det), NpaOracle(apply_eps_completion(det))
+            letters = sorted(a.alphabet)
+            for _ in range(10):
+                w = _random_word(rng, letters, 60, 16)
+                want = oba(w)
+                assert dpa(w) == want, (name, w)
+                assert npa(intertwine(w)) == want, (name, w)
+
+    def test_memo_holds_only_queried_words(self):
+        a = fig_inf_aa_fin_bb()
+        oracle = ObaOracle(a)
+        words = [up("ab" * 50, "a"), up("ab" * 50 + "a", "a"), up("", "b")]
+        for w in words:
+            oracle(w)
+        assert set(oracle._prefix_reach) == {w.prefix for w in words}
+
+
+class TestMorphismFold:
+    def test_mapped_query_matches_tile_letters(self):
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        mapped, plain = ObaOracle(oba, morphism), ObaOracle(oba)
+        rng = random.Random(5)
+        letters = sorted(morphism.as_dict())
+        for _ in range(200):
+            w = _random_word(rng, letters, 8, 4)
+            assert mapped(w) == plain(morphism.apply(w)), w
+
+    def test_letter_outside_domain(self):
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        oracle = ObaOracle(oba, morphism)
+        with pytest.raises(UsageError, match="not in morphism domain"):
+            oracle(up(("a", "zz"), ("b",)))
+        assert "t0" in oba.alphabet and "t0" not in morphism.as_dict()
+        with pytest.raises(UsageError, match="not in morphism domain"):
+            oracle(up((), ("t0",)))  # a tile name is not a query letter
+
+    def test_letter_mapped_to_missing_tile(self):
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        oracle = ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
+        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
+            oracle(up((), ("x",)))
+
+    def test_cli_member_outside_domain(self, tmp_path, capsys):
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        path = tmp_path / "rabin.json"
+        path.write_text(json.dumps(oba_to_doc(oba, morphism)))
+        assert main(["member", str(path), "--prefix", "a", "--period", "zz"]) == USAGE
+        assert "not in morphism domain" in capsys.readouterr().err

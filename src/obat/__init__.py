@@ -47,14 +47,17 @@ from .determinize import (
     record_count_bound,
 )
 from .tiles import (
+    NotUpwardClosed,
     Skeleton,
     StateUniverse,
     Tile,
     UsageError,
     ValidationError,
+    is_buchi,
     product,
     skeleton,
     successors,
+    tile_of,
     top_successor,
     trans_leq,
     unit_tile,

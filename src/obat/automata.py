@@ -17,6 +17,7 @@ from .tiles import (
     Tile,
     UsageError,
     ValidationError,
+    is_buchi,
     successors,
 )
 
@@ -73,9 +74,9 @@ class Morphism:
 class OrderedBuchiAutomaton:
     """Tile automaton over an ordered state set.
 
-    Expected invariants (reported by :func:`oba_validate`, not enforced at
-    construction): the initial set is downward-closed and every alphabet tile
-    is upward-closed.
+    Tiles are upward-closed by construction.  Expected invariants (reported
+    by :func:`oba_validate`, not enforced at construction): the initial set
+    is downward-closed and every tile is over the automaton's universe.
     """
 
     universe: StateUniverse
@@ -164,13 +165,16 @@ class ValidationReport:
 
 
 def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
-    """Report every violated ordered-Büchi invariant, with witnesses."""
+    """Report every violated ordered-Büchi invariant, with witnesses.
+
+    Unreachable states are warned about only when no invariant is violated.
+    """
     report = ValidationReport()
     names = a.universe.states
     for q in sorted(a.initial):
         if not 0 <= q < a.universe.size:
             report.issues.append(ValidationIssue("initial", f"state index {q} out of range"))
-    for q in sorted(a.initial):
+    for q in sorted(a.initial & frozenset(range(a.universe.size))):
         for q2 in range(q):
             if q2 not in a.initial:
                 report.issues.append(
@@ -181,40 +185,22 @@ def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
                 )
                 break
     for letter in sorted(a.alphabet):
-        tile = a.alphabet[letter]
-        if tile.universe != a.universe:
+        if a.alphabet[letter].universe != a.universe:
             report.issues.append(
                 ValidationIssue("tile-universe", f"tile {letter!r} built over a different universe")
             )
-            continue
-        witness = tile.closure_witness()
-        if witness is not None:
-            d, d2 = witness
-            report.issues.append(
-                ValidationIssue(
-                    "tile-not-upward-closed",
-                    f"tile {letter!r} contains {d} but not the dominating {d2}",
-                )
-            )
-    reachable = _oba_reachable(a)
-    for q in range(a.universe.size):
-        if q not in reachable:
-            report.warnings.append(
-                ValidationIssue("unreachable-state", f"state {names[q]} is unreachable from the initial set")
-            )
+    if not report.valid:  # reachability needs in-range states and same-universe tiles
+        return report
+    # initial and successor sets are downward-closed: the reachable states are
+    # those up to the least r >= max(I) with top[r] <= r in every tile
+    reach, prev = max(a.initial, default=-1), None
+    while reach >= 0 and reach != prev:
+        prev, reach = reach, max([reach] + [tile.top[reach] for tile in a.alphabet.values()])
+    for q in range(reach + 1, a.universe.size):
+        report.warnings.append(
+            ValidationIssue("unreachable-state", f"state {names[q]} is unreachable from the initial set")
+        )
     return report
-
-
-def _oba_reachable(a: OrderedBuchiAutomaton) -> frozenset[int]:
-    seen = set(a.initial)
-    frontier = set(a.initial)
-    while frontier:
-        step = set()
-        for tile in a.alphabet.values():
-            step |= successors(tile, frontier)
-        frontier = step - seen
-        seen |= frontier
-    return frozenset(seen)
 
 
 def _scc_partition(nodes, succ) -> dict:
@@ -319,12 +305,11 @@ class ObaOracle:
         names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
         # query letter -> tile; a letter mapped to a missing tile is left out
         self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
-        self._succ: dict[str, dict[int, frozenset[int]]] = {}
-        for x, tile in self._tile.items():
-            by_src: dict[int, set[int]] = {}
-            for (p, _, q) in tile.transitions:
-                by_src.setdefault(p, set()).add(q)
-            self._succ[x] = {p: frozenset(qs) for p, qs in by_src.items()}
+        # query letter -> state -> successors: p reaches the states up to top[p]
+        self._succ = {
+            x: {p: frozenset(range(q + 1)) for p, q in enumerate(tile.top) if q >= 0}
+            for x, tile in self._tile.items()
+        }
         self._letters = frozenset(self._succ)
         self._prefix_reach: dict[tuple[str, ...], frozenset[int]] = {}
         self._boundary: dict[tuple[frozenset[int], tuple[str, ...]], frozenset[int]] = {}
@@ -398,7 +383,7 @@ def oba_member_up(a: OrderedBuchiAutomaton, w: UPWord) -> bool:
 
 def omega_power_accepts(a: OrderedBuchiAutomaton, t: Tile) -> bool:
     """t^ω is accepted iff some initial state carries a horizontal Büchi transition."""
-    return any((q, 0, q) in t.transitions for q in a.initial)
+    return any(is_buchi(t, q, q) for q in a.initial)
 
 
 def residual_initial_set(a: OrderedBuchiAutomaton, word) -> frozenset[int]:

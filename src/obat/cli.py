@@ -35,7 +35,8 @@ from .determinize import (
     record_count_bound,
     reachable_residuals,
 )
-from .tiles import StateUniverse, Tile, UsageError, ValidationError, skeleton, upward_closure
+from .tiles import NotUpwardClosed, StateUniverse, Tile, UsageError, ValidationError
+from .tiles import skeleton, tile_of, upward_closure
 from .verify import check_local_preference, equiv_up
 
 OK, FALSE, USAGE, INVALID = 0, 1, 2, 3
@@ -66,13 +67,18 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
             if letter == EPS:
                 raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
             if "skeleton" in body:
-                gens = [(int(p), int(c), int(q)) for (p, c, q) in body["skeleton"]]
-                alphabet[letter] = upward_closure(universe, gens)
+                build, key = upward_closure, "skeleton"
             elif "transitions" in body:
-                trans = frozenset((int(p), int(c), int(q)) for (p, c, q) in body["transitions"])
-                alphabet[letter] = Tile(universe, trans)
+                build, key = tile_of, "transitions"
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
+            triples = frozenset((int(p), int(c), int(q)) for (p, c, q) in body[key])
+            try:
+                alphabet[letter] = build(universe, triples)
+            except NotUpwardClosed as e:
+                raise ValidationError(f"{path}: tile-not-upward-closed: tile {letter!r} {e}") from None
+            except ValidationError as e:
+                raise ValidationError(f"{path}: tile {letter!r}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ValidationError):
             raise

@@ -26,6 +26,7 @@ from .tiles import (
     Tile,
     UsageError,
     ValidationError,
+    is_buchi,
     product,  # noqa: F401  bench/spans.py traces product and tile_monoid under this module
     successors,
     top_successor,
@@ -91,7 +92,7 @@ def delta(s: Record, t: Tile) -> DetTransitionResult:
     default = len(reached)
     green = default
     for i in range(min(len(s), len(nxt))):
-        if (s.entries[i], 0, nxt.entries[i]) in t.transitions:
+        if is_buchi(t, s.entries[i], nxt.entries[i]):
             green = i
             break
     forgotten = [i for i in range(len(s)) if i not in preserved]

@@ -12,11 +12,17 @@ Upward-closed tiles compose by relational product taking the minimum of the
 two priorities; together with the closure of the identity skeleton as unit
 they form a monoid.  Every upward-closed tile has a unique inclusion-minimal
 generating set, its skeleton, which is a partial injection on states.
+
+Tiles are stored as staircases (see :class:`Tile`), so every tile is closed
+by construction; :func:`tile_of` is the one way in from an explicit
+transition set and the one closure check.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class UsageError(ValueError):
@@ -25,6 +31,10 @@ class UsageError(ValueError):
 
 class ValidationError(ValueError):
     """A value or input file violates a structural invariant."""
+
+
+class NotUpwardClosed(ValidationError):
+    """A transition set lacks a transition that dominates one of its members."""
 
 
 Transition = tuple[int, int, int]  # (src, priority, dst)
@@ -72,45 +82,38 @@ def trans_leq(d1: Transition, d2: Transition) -> bool:
     return True
 
 
-def all_transitions(n: int) -> list[Transition]:
-    return [(p, c, q) for p in range(n) for c in (0, 1) for q in range(n)]
-
-
 @dataclass(frozen=True)
 class Tile:
-    """A set of priority-0/1 transitions over a universe.
+    """An upward-closed tile: its staircase ``top`` and its priority-1 corners ``ones``.
 
-    Bounds and priorities are checked here; upward-closedness is the caller's
-    obligation for algebra operations and is what :func:`is_upward_closed`
-    and ``automata.oba_validate`` report on.  Use :func:`upward_closure` to
-    build tiles from arbitrary generator sets.
+    ``top[p]`` is the greatest successor of p (-1 for none); it is monotone
+    in p, and p reaches exactly the states up to ``top[p]``, with both
+    priorities, except at a *corner*: a p least for its ``top`` value, whose
+    pair (p, top[p]) may carry priority 1 only.  ``ones`` lists those
+    corners; the corners with their priorities are the skeleton.  Build
+    tiles with :func:`upward_closure`, :func:`tile_of`, :func:`unit_tile` or
+    :func:`product`, which keep both fields canonical, so two tiles are equal
+    exactly when their transition sets are.
     """
 
     universe: StateUniverse
-    transitions: frozenset[Transition]
+    top: tuple[int, ...]
+    ones: frozenset[int]
 
-    def __post_init__(self) -> None:
-        n = self.universe.size
-        for (p, c, q) in self.transitions:
-            if not (0 <= p < n and 0 <= q < n):
-                raise ValidationError(f"transition {(p, c, q)} out of range for |Q|={n}")
-            if c not in (0, 1):
-                raise ValidationError(f"tile priority must be 0 or 1, got {c}")
-
-    def is_upward_closed(self) -> bool:
-        return self.closure_witness() is None
-
-    def closure_witness(self) -> tuple[Transition, Transition] | None:
-        """A pair (member, missing dominating transition), or None if closed."""
-        trans = self.transitions
-        for d in trans:
-            for d2 in all_transitions(self.universe.size):
-                if trans_leq(d, d2) and d2 not in trans:
-                    return (d, d2)
-        return None
+    @cached_property
+    def transitions(self) -> frozenset[Transition]:
+        """The explicit transition set, for DOT, serialization, oracles and tests."""
+        return frozenset(
+            (p, c, q)
+            for p, t in enumerate(self.top)
+            for q in range(t + 1)
+            for c in (0, 1)
+            if not (c == 0 and q == t and p in self.ones)
+        )
 
     def is_empty(self) -> bool:
-        return not self.transitions
+        """No transitions: since ``top`` is monotone, the greatest state has no successor."""
+        return self.top[-1] < 0
 
 
 @dataclass(frozen=True)
@@ -130,84 +133,89 @@ class Skeleton:
             raise ValidationError("skeleton endpoints must be injective")
 
 
+def _corners(top: tuple[int, ...]) -> list[int]:
+    """States least for their (defined) top value: the skeleton's sources."""
+    return [p for p, t in enumerate(top) if t >= 0 and (p == 0 or top[p - 1] < t)]
+
+
 def upward_closure(universe: StateUniverse, generators) -> Tile:
-    """Smallest upward-closed tile containing the generators."""
-    gen = list(generators)
-    closed = frozenset(
-        d2 for d2 in all_transitions(universe.size) if any(trans_leq(d, d2) for d in gen)
-    )
-    return Tile(universe, closed)
+    """Smallest upward-closed tile containing the generators.
+
+    p reaches every state up to the greatest target of a generator whose
+    source is at most p (a running maximum), and a corner keeps its Büchi
+    transition only when that transition is itself a generator.  A generator
+    outside the universe or with a priority other than 0 or 1 is a
+    :class:`ValidationError`.
+    """
+    n = universe.size
+    best = [-1] * n
+    buchi = set()
+    for (p, c, q) in generators:
+        if not (0 <= p < n and 0 <= q < n and c in (0, 1)):
+            raise ValidationError(f"transition {(p, c, q)} out of range for |Q|={n} and priorities 0, 1")
+        best[p] = max(best[p], q)
+        if c == 0:
+            buchi.add((p, q))
+    top = tuple(itertools.accumulate(best, max))
+    ones = frozenset(p for p in _corners(top) if (p, top[p]) not in buchi)
+    return Tile(universe, top, ones)
+
+
+def tile_of(universe: StateUniverse, transitions) -> Tile:
+    """The tile whose transition set is exactly ``transitions``.
+
+    Raises :class:`ValidationError` for a transition outside the universe or
+    the priorities, and :class:`NotUpwardClosed` for a set that is not
+    upward-closed, naming the first member (in the set's iteration order)
+    and the least missing transition that dominates it.
+    """
+    trans = frozenset(transitions)
+    tile = upward_closure(universe, trans)
+    missing = sorted(tile.transitions - trans)
+    for d in trans:
+        for d2 in missing:
+            if trans_leq(d, d2):
+                raise NotUpwardClosed(f"contains {d} but not the dominating {d2}")
+    return tile
 
 
 def unit_tile(universe: StateUniverse) -> Tile:
     """Closure of the identity skeleton: everything weakly descending, no horizontal Büchi."""
-    trans = frozenset(
-        (p, c, q)
-        for p in range(universe.size)
-        for q in range(p + 1)
-        for c in (0, 1)
-        if not (p == q and c == 0)
-    )
-    return Tile(universe, trans)
-
-
-def _same_universe(t1: Tile, t2: Tile) -> None:
-    if t1.universe != t2.universe:
-        raise UsageError("tiles over different universes")
+    states = range(universe.size)
+    return Tile(universe, tuple(states), frozenset(states))
 
 
 def product(t1: Tile, t2: Tile) -> Tile:
-    """Relational composition taking the minimum priority; closed when inputs are."""
-    _same_universe(t1, t2)
-    by_src: dict[int, list[tuple[int, int]]] = {}
-    for (p, c, q) in t2.transitions:
-        by_src.setdefault(p, []).append((c, q))
-    out = set()
-    for (p, c1, q) in t1.transitions:
-        for (c2, r) in by_src.get(q, ()):
-            out.add((p, min(c1, c2), r))
-    return Tile(t1.universe, frozenset(out))
+    """Relational composition taking the minimum priority.
+
+    The staircases compose: p reaches up to ``t2.top[t1.top[p]]``.  Every
+    other step has a Büchi path, so a corner of the product has priority 1
+    only when p is a priority-1 corner of t1 and ``t1.top[p]`` one of t2.
+    """
+    if t1.universe != t2.universe:
+        raise UsageError("tiles over different universes")
+    top = tuple(t2.top[q] if q >= 0 else -1 for q in t1.top)
+    ones = frozenset(p for p in t1.ones if t1.top[p] in t2.ones)
+    return Tile(t1.universe, top, ones)
 
 
 def skeleton(t: Tile) -> Skeleton:
-    """Unique minimal generator: minimal endpoint pairs with their least priority."""
-    best: dict[tuple[int, int], int] = {}
-    for (p, c, q) in t.transitions:
-        prev = best.get((p, q))
-        if prev is None or c < prev:
-            best[(p, q)] = c
-    pairs = list(best)
-    minimal = [
-        (p, q)
-        for (p, q) in pairs
-        if not any((p2 <= p and q <= q2 and (p2, q2) != (p, q)) for (p2, q2) in pairs)
-    ]
-    srcs = {p for (p, _) in minimal}
-    dsts = {q for (_, q) in minimal}
-    if len(srcs) != len(minimal) or len(dsts) != len(minimal):
-        raise AssertionError(f"minimal endpoint pairs not injective: {sorted(minimal)}")
-    return Skeleton(t.universe, frozenset((p, best[(p, q)], q) for (p, q) in minimal))
+    """Unique minimal generator: each corner with its least priority."""
+    return Skeleton(
+        t.universe, frozenset((p, int(p in t.ones), t.top[p]) for p in _corners(t.top))
+    )
 
 
 def successors(t: Tile, states) -> frozenset[int]:
-    """States reachable from the given set in one step; downward-closed for closed tiles."""
-    src = set(states)
-    return frozenset(q for (p, _, q) in t.transitions if p in src)
+    """States reachable from the given set in one step: all up to the highest top."""
+    return frozenset(range(max((t.top[p] for p in states), default=-1) + 1))
 
 
 def top_successor(t: Tile, q: int) -> int | None:
-    """Greatest successor of q, or None; monotone in q for closed tiles."""
-    targets = [r for (p, _, r) in t.transitions if p == q]
-    return max(targets) if targets else None
+    """Greatest successor of q, or None; monotone in q."""
+    return t.top[q] if t.top[q] >= 0 else None
 
 
-def enumerate_upward_closed_tiles(universe: StateUniverse):
-    """All upward-closed tiles over the universe (exponential; |Q| <= 2 intended)."""
-    if universe.size > 2:
-        raise UsageError("exhaustive tile enumeration is intended for |Q| <= 2")
-    trans = all_transitions(universe.size)
-    for mask in range(1 << len(trans)):
-        subset = frozenset(t for i, t in enumerate(trans) if mask >> i & 1)
-        tile = Tile(universe, subset)
-        if tile.is_upward_closed():
-            yield tile
+def is_buchi(t: Tile, p: int, q: int) -> bool:
+    """Whether the priority-0 transition (p, 0, q) is in the tile."""
+    return q < t.top[p] or (q == t.top[p] and p not in t.ones)

@@ -1,6 +1,10 @@
 """Independent oracles and property harnesses.
 
-skeleton_oracle recomputes skeletons by brute-force subset enumeration;
+closure_oracle and product_oracle compute upward closure and tile product on
+explicit transition sets, the reference for the staircase operations in
+``obat.tiles``; skeleton_oracle recomputes skeletons by brute-force subset
+enumeration and enumerate_upward_closed_tiles finds every closed tile the
+same way;
 tile_monoid builds the whole monoid generated by an alphabet, from which
 monoid_residuals reads R_A and the kills-max(I) flag that ``obat.determinize``
 computes by a top-successor walk; equiv_up compares two membership oracles
@@ -24,13 +28,51 @@ from typing import Callable, Iterator
 from .automata import OrderedBuchiAutomaton, UPWord
 from .tiles import (
     Skeleton,
+    StateUniverse,
     Tile,
+    Transition,
     UsageError,
     product,
+    tile_of,
     top_successor,
+    trans_leq,
     unit_tile,
-    upward_closure,
 )
+
+
+def all_transitions(n: int) -> list[Transition]:
+    return [(p, c, q) for p in range(n) for c in (0, 1) for q in range(n)]
+
+
+def closure_oracle(universe: StateUniverse, generators) -> frozenset[Transition]:
+    """Upward closure as an explicit set: every transition dominating a generator."""
+    gen = list(generators)
+    return frozenset(
+        d2 for d2 in all_transitions(universe.size) if any(trans_leq(d, d2) for d in gen)
+    )
+
+
+def product_oracle(t1: Tile, t2: Tile) -> frozenset[Transition]:
+    """Relational product of the explicit transition sets, minimum priority."""
+    by_src: dict[int, list[tuple[int, int]]] = {}
+    for (p, c, q) in t2.transitions:
+        by_src.setdefault(p, []).append((c, q))
+    return frozenset(
+        (p, min(c1, c2), r)
+        for (p, c1, q) in t1.transitions
+        for (c2, r) in by_src.get(q, ())
+    )
+
+
+def enumerate_upward_closed_tiles(universe: StateUniverse):
+    """All upward-closed tiles over the universe, by subset search (|Q| <= 2)."""
+    if universe.size > 2:
+        raise UsageError("exhaustive tile enumeration is intended for |Q| <= 2")
+    trans = all_transitions(universe.size)
+    for mask in range(1 << len(trans)):
+        subset = frozenset(t for i, t in enumerate(trans) if mask >> i & 1)
+        if closure_oracle(universe, subset) == subset:
+            yield tile_of(universe, subset)
 
 
 def skeleton_oracle(t: Tile) -> Skeleton:
@@ -45,7 +87,7 @@ def skeleton_oracle(t: Tile) -> Skeleton:
         found = [
             subset
             for subset in itertools.combinations(trans, size)
-            if upward_closure(t.universe, subset).transitions == t.transitions
+            if closure_oracle(t.universe, subset) == t.transitions
         ]
         if found:
             if len(found) != 1:

@@ -25,6 +25,7 @@ from obat import (
     product,
     residual_initial_set,
     skeleton,
+    tile_of,
     unit_tile,
     up,
     upward_closure,
@@ -41,8 +42,12 @@ from obat.determinize import (
     determinize,
     record_count_bound,
 )
-from obat.tiles import enumerate_upward_closed_tiles
-from obat.verify import check_local_preference, enumerate_up_words, equiv_up
+from obat.verify import (
+    check_local_preference,
+    enumerate_up_words,
+    enumerate_upward_closed_tiles,
+    equiv_up,
+)
 
 from zoo import (
     determinization_corpus,
@@ -94,7 +99,7 @@ def test_monoid_laws():
     for t1 in tiles2:
         for t2 in tiles2:
             left = product(t1, t2)
-            assert left.is_upward_closed()
+            assert tile_of(u2, left.transitions) == left
             for t3 in tiles2:
                 assert product(left, t3) == product(t1, product(t2, t3))
     rng = random.Random(101)
@@ -237,7 +242,7 @@ def test_omega_power_criterion(corpus):
                "and meets the record bound; every reachable record sits in S_R")
 def test_optimality_experiment(corpus):
     sizes = {}
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         u = StateUniverse(tuple(f"q{i}" for i in range(n)))
         a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
         det = determinize(a)
@@ -246,7 +251,7 @@ def test_optimality_experiment(corpus):
         assert reached == budget, f"|Q|={n}: {sorted(reached)} != {sorted(budget)}"
         assert len(reached) == record_count_bound(n), f"|Q|={n}: {len(reached)} records"
         sizes[n] = len(reached)
-    assert sizes[4] == 11 and sizes[5] == 35
+    assert sizes[4] == 11 and sizes[5] == 35 and sizes[6] == 155
     for name, a, det in corpus:
         budget = {r.entries for r in candidate_records(a)}
         for s in det.states:

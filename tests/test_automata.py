@@ -10,14 +10,15 @@ from obat import (
     OrderedBuchiAutomaton,
     ParityAutomaton,
     StateUniverse,
-    Tile,
     UsageError,
+    ValidationError,
     dpa_member_up,
     npa_member_up,
     oba_member_up,
     oba_validate,
     omega_power_accepts,
     residual_initial_set,
+    tile_of,
     unit_tile,
     up,
     upward_closure,
@@ -39,13 +40,10 @@ class TestObaValidate:
         assert any("s0" in issue.message for issue in report.issues)
 
     def test_tile_missing_closure_element(self):
-        a = inf_a()
-        tile = a.alphabet["a"]
+        tile = inf_a().alphabet["a"]
         broken = max(tile.transitions)  # drop a maximal transition
-        a.alphabet["a"] = Tile(tile.universe, tile.transitions - {broken})
-        report = oba_validate(a)
-        assert not report.valid
-        assert any(issue.kind == "tile-not-upward-closed" for issue in report.issues)
+        with pytest.raises(ValidationError, match="but not the dominating"):
+            tile_of(tile.universe, tile.transitions - {broken})
 
     def test_unreachable_state_warned(self):
         u = StateUniverse(("s0", "s1"))
@@ -53,6 +51,24 @@ class TestObaValidate:
         report = oba_validate(a)
         assert report.valid
         assert any(w.kind == "unreachable-state" for w in report.warnings)
+
+    def test_unreachable_states_match_explicit_search(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            a = random_oba(rng, max_states=6)
+            seen, frontier = set(a.initial), set(a.initial)
+            while frontier:
+                step = {q for t in a.alphabet.values() for (p, _, q) in t.transitions if p in frontier}
+                frontier = step - seen
+                seen |= frontier
+            warned = {w.message.split()[1] for w in oba_validate(a).warnings}
+            assert warned == {a.universe.name(q) for q in range(a.universe.size) if q not in seen}
+
+    def test_out_of_range_initial_reported(self):
+        a = inf_a()
+        a.initial = frozenset({0, 1, 5})
+        report = oba_validate(a)
+        assert [issue.kind for issue in report.issues] == ["initial"]
 
 
 class TestObaMembership:

@@ -241,6 +241,25 @@ class TestCommands:
         assert main(["equiv", inf_a_file, inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
         assert main(["posi-check", inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
 
+    @pytest.mark.parametrize("entry", [[0, 0, 5], [-1, 1, 0], [0, 7, 0]])
+    @pytest.mark.parametrize("key", ["skeleton", "transitions"])
+    def test_out_of_range_tile_entry_invalid(self, tmp_path, capsys, key, entry):
+        path = tmp_path / "out-of-range.json"
+        path.write_text(json.dumps(dict(INF_A_DOC, alphabet={"a": {key: [entry]}})))
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out.startswith(f"{path}: tile 'a': ")
+        assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err.startswith(f"validation error: {path}: tile 'a': ")
+
+    def test_non_closed_transitions_tile_invalid(self, tmp_path, capsys):
+        path = tmp_path / "not-closed.json"
+        path.write_text(json.dumps(dict(INF_A_DOC, alphabet={"a": {"transitions": [[0, 1, 1]]}})))
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == (
+            f"{path}: tile-not-upward-closed: tile 'a' contains (0, 1, 1) "
+            "but not the dominating (0, 0, 0)\n"
+        )
+
     def test_unparseable_file_invalid(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

@@ -1,19 +1,29 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from obat import (
     StateUniverse,
-    Tile,
     UsageError,
+    ValidationError,
     product,
     skeleton,
     successors,
+    tile_of,
     top_successor,
     trans_leq,
     unit_tile,
     upward_closure,
 )
-from obat.tiles import all_transitions, enumerate_upward_closed_tiles
+from obat.verify import (
+    all_transitions,
+    closure_oracle,
+    enumerate_upward_closed_tiles,
+    product_oracle,
+    skeleton_oracle,
+)
 
 U2 = StateUniverse(("s0", "s1"))
 U1 = StateUniverse(("q",))
@@ -76,8 +86,14 @@ class TestUpwardClosure:
 
     @given(tiles)
     def test_closed_and_idempotent(self, t):
-        assert t.is_upward_closed()
+        assert tile_of(t.universe, t.transitions) == t
         assert upward_closure(t.universe, t.transitions) == t
+
+    @pytest.mark.parametrize("build", [upward_closure, tile_of])
+    @pytest.mark.parametrize("entry", [(0, 0, 5), (-1, 1, 0), (0, 7, 0), (2, 0, 0)])
+    def test_out_of_range_entry_rejected(self, build, entry):
+        with pytest.raises(ValidationError, match="out of range"):
+            build(U2, [entry])
 
     @given(universes().flatmap(lambda u: st.tuples(st.just(u), tiles_over(u))))
     def test_extensive_and_monotone(self, uv):
@@ -123,7 +139,8 @@ class TestProduct:
     @given(tile_pairs)
     def test_product_stays_closed(self, ts):
         t1, t2 = ts
-        assert product(t1, t2).is_upward_closed()
+        t = product(t1, t2)
+        assert tile_of(t.universe, t.transitions) == t
 
 
 class TestSkeleton:
@@ -131,10 +148,10 @@ class TestSkeleton:
         assert skeleton(unit_tile(U2)).transitions == {(0, 1, 0), (1, 1, 1)}
 
     def test_empty(self):
-        assert skeleton(Tile(U2, frozenset())).transitions == frozenset()
+        assert skeleton(tile_of(U2, ())).transitions == frozenset()
 
     def test_full_tile(self):
-        full = Tile(U2, frozenset(all_transitions(2)))
+        full = tile_of(U2, all_transitions(2))
         assert skeleton(full).transitions == {(0, 0, 1)}
 
     @given(tiles)
@@ -177,3 +194,60 @@ class TestTopSuccessor:
 
         values = [top_successor(t, q) for q in range(t.universe.size)]
         assert all(rank(a) <= rank(b) for a, b in zip(values, values[1:]))
+
+
+def check_against_explicit_sets(u, generators, rng):
+    """The staircase operations on the closure of ``generators`` against the
+    explicit-set references; returns the tile."""
+    t = upward_closure(u, generators)
+    assert t.transitions == closure_oracle(u, generators)
+    assert tile_of(u, t.transitions) == t
+    skel = skeleton(t).transitions
+    if u.size <= 3:
+        assert skel == skeleton_oracle(t).transitions
+    # the unique inclusion-minimal generator: it generates t, no smaller part does
+    assert closure_oracle(u, skel) == t.transitions
+    assert all(closure_oracle(u, skel - {d}) != t.transitions for d in skel)
+    for q in range(u.size):
+        targets = [r for (p, _, r) in t.transitions if p == q]
+        assert top_successor(t, q) == (max(targets) if targets else None)
+    states = {q for q in range(u.size) if rng.random() < 0.5}
+    assert successors(t, states) == {q for (p, _, q) in t.transitions if p in states}
+    return t
+
+
+def check_product(t1, t2):
+    explicit = product_oracle(t1, t2)
+    got = product(t1, t2)
+    assert got.transitions == explicit
+    assert got == tile_of(t1.universe, explicit)
+
+
+class TestStaircaseAgainstExplicitSets:
+    def test_exhaustive_up_to_two_states(self):
+        rng = random.Random(0)
+        for u in (U1, U2):
+            trans = all_transitions(u.size)
+            for k in range(len(trans) + 1):
+                for gens in itertools.combinations(trans, k):
+                    check_against_explicit_sets(u, gens, rng)
+            tiles = list(enumerate_upward_closed_tiles(u))
+            for t1 in tiles:
+                for t2 in tiles:
+                    check_product(t1, t2)
+        assert len(tiles) == 13
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_seeded_random_sweep(self, n):
+        rng = random.Random(700 + n)
+        u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+        prev = unit_tile(u)
+        for _ in range(250):
+            gens = [
+                (rng.randrange(n), rng.randint(0, 1), rng.randrange(n))
+                for _ in range(rng.randint(0, n + 2))
+            ]
+            t = check_against_explicit_sets(u, gens, rng)
+            check_product(prev, t)
+            check_product(t, prev)
+            prev = t

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from obat import ObaOracle, StateUniverse, UsageError, up, upward_closure, unit_tile
-from obat.tiles import enumerate_upward_closed_tiles, skeleton
+from obat.tiles import skeleton
 from obat.verify import (
     check_local_preference,
     enumerate_up_words,
+    enumerate_upward_closed_tiles,
     equiv_up,
     skeleton_oracle,
 )

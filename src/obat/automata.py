@@ -115,6 +115,8 @@ class ParityAutomaton:
         lo, hi = self.index
         if lo > hi:
             raise ValidationError(f"empty priority index [{lo},{hi}]")
+        if not all(isinstance(s, str) for s in self.states):
+            raise ValidationError("state identifiers must be strings")
         stateset = set(self.states)
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")

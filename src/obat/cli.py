@@ -53,17 +53,25 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top level must be a JSON object, got {type(doc).__name__}")
-    return doc
+    return _object(doc, "top level", path)
+
+
+def _object(value, what: str, path: str) -> dict:
+    """``value`` if it is a JSON object, else a validation error naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
     try:
-        universe = StateUniverse(tuple(doc["states"]))
+        try:
+            universe = StateUniverse(tuple(doc["states"]))
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
         initial = frozenset(universe.index(s) for s in doc["initial"])
         alphabet: dict[str, Tile] = {}
-        for letter, body in doc["alphabet"].items():
+        for letter, body in _object(doc["alphabet"], "alphabet", path).items():
             if letter == EPS:
                 raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
             if "skeleton" in body:
@@ -87,15 +95,17 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
     report = oba_validate(a)
     if not report.valid:
         raise ValidationError(f"{path}: {report.issues[0].kind}: {report.issues[0].message}")
-    morphism = Morphism.from_dict(doc["morphism"]) if "morphism" in doc else None
-    if morphism is not None:
+    morphism = None
+    if "morphism" in doc:
+        morphism = Morphism.from_dict(_object(doc["morphism"], "morphism", path))
         for letter, name in morphism.mapping:
-            if name not in alphabet:
+            if not isinstance(name, str) or name not in alphabet:
                 raise ValidationError(f"{path}: morphism maps {letter!r} to unknown tile {name!r}")
     return a, morphism
 
 
 def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
+    record_doc = _object(doc["records"], "records", path) if "records" in doc else None
     try:
         states = tuple(doc["states"])
         lo, hi = doc["index"]
@@ -105,11 +115,11 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         alphabet = frozenset(doc["alphabet"]) if "alphabet" in doc else None
         records = None
         universe = None
-        if "records" in doc:
+        if record_doc is not None:
             universe = StateUniverse(tuple(doc["universe"]))
             records = {
                 name: tuple(universe.index(s) for s in entries)
-                for name, entries in doc["records"].items()
+                for name, entries in record_doc.items()
             }
         return ParityAutomaton(
             states=states,
@@ -154,6 +164,8 @@ def parse_rabin_spec(path: str) -> RabinSpec:
         )
     except (KeyError, TypeError) as e:
         raise ValidationError(f"{path}: malformed Rabin specification ({e})") from None
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 # --- serialization ----------------------------------------------------------
@@ -194,8 +206,7 @@ def parity_to_doc(a: ParityAutomaton) -> dict:
 
 def write_doc(doc: dict, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 # --- DOT export -------------------------------------------------------------
@@ -486,10 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; safe to call repeatedly in one process.
+
+    The parser is built on the first call and reused: parsing keeps no state
+    between calls, and each command resolves what it uses at call time.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return USAGE if e.code not in (0, None) else OK
     try:

@@ -35,6 +35,8 @@ class RabinSpec:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValidationError("Rabin specification needs at least one pair")
+        if not all(isinstance(x, str) for x in self.alphabet):
+            raise ValidationError("Rabin alphabet letters must be strings")
         sigma = set(self.alphabet)
         for g, r in self.pairs:
             if not (g <= sigma and r <= sigma):

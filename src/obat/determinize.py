@@ -114,21 +114,20 @@ def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
     letters = sorted(a.alphabet)
     start = initial_record(a)
     order: list[Record] = [start]
-    seen = {start}
+    name = {start: record_name(start, a.universe)}  # each record named once, when first reached
     transitions: set[tuple[str, str, int, str]] = set()
     i = 0
     while i < len(order):
         rec = order[i]
         i += 1
+        src = name[rec]
         for letter in letters:
             priority, nxt = delta(rec, a.alphabet[letter])
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in name:
+                name[nxt] = record_name(nxt, a.universe)
                 order.append(nxt)
-            transitions.add(
-                (record_name(rec, a.universe), letter, priority, record_name(nxt, a.universe))
-            )
-    names = tuple(record_name(r, a.universe) for r in order)
+            transitions.add((src, letter, priority, name[nxt]))
+    names = tuple(name.values())
     return ParityAutomaton(
         states=names,
         initial=frozenset({names[0]}),
@@ -136,7 +135,7 @@ def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
         transitions=frozenset(transitions),
         deterministic=True,
         alphabet=frozenset(letters),
-        records={record_name(r, a.universe): r.entries for r in order},
+        records={name[r]: r.entries for r in order},
         universe=a.universe,
     )
 

@@ -49,6 +49,8 @@ class StateUniverse:
     def __post_init__(self) -> None:
         if not self.states:
             raise ValidationError("state universe must be nonempty")
+        if not all(isinstance(s, str) for s in self.states):
+            raise ValidationError("state identifiers must be strings")
         if len(set(self.states)) != len(self.states):
             raise ValidationError("state identifiers must be pairwise distinct")
 

@@ -1,12 +1,18 @@
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import obat
 from obat.cli import (
     FALSE,
     INVALID,
     OK,
     USAGE,
+    build_parser,
     load_document,
     main,
     oba_to_doc,
@@ -265,3 +271,93 @@ class TestCommands:
         path.write_text("{nope")
         assert main(["validate", str(path)]) == FALSE
         assert main(["member", str(path), "--period", "a"]) == INVALID
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(INF_A_DOC, alphabet=[]), "alphabet must be a JSON object, got list"),
+            (dict(INF_A_DOC, morphism=["a"]), "morphism must be a JSON object, got list"),
+            (dict(INF_A_DOC, morphism={"y": ["x"]}), "morphism maps 'y' to unknown tile ['x']"),
+            (dict(INF_A_DOC, states=["s0", 1]), "state identifiers must be strings"),
+            (dict(GENBUCHI_DOC, records=[], universe=["s0"]), "records must be a JSON object, got list"),
+            (dict(GENBUCHI_DOC, states=["w", "sa", 1]), "state identifiers must be strings"),
+        ],
+        ids=["alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list", "parity-int-state"],
+    )
+    def test_malformed_document_invalid(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{path}: {message}\n"
+        assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+
+    def test_non_string_rabin_letter_invalid(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"alphabet": ["a", 1], "pairs": [{"G": ["a"], "R": []}]}))
+        assert main(["convert", "rabin", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: Rabin alphabet letters must be strings\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's arguments."""
+
+    def test_calls_do_not_share_arguments(self, inf_a_file, tmp_path, capsys):
+        assert main(["equiv", inf_a_file, inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
+        assert "(prefix <= 0, period <= 1)" in capsys.readouterr().out
+        assert main(["equiv", inf_a_file, inf_a_file]) == OK
+        assert "(prefix <= 3, period <= 4)" in capsys.readouterr().out
+
+        src, out = tmp_path / "eps.json", tmp_path / "from-parity.oba.json"
+        write_doc(parity_to_doc(eps_figure()), str(src))
+        assert main(["convert", "parity", str(src), "--check-only"]) == OK
+        assert capsys.readouterr().out == "ε-complete\n"
+        assert main(["convert", "parity", str(src), "-o", str(out)]) == OK
+        assert load_document(str(out))[0] == "ordered-buchi"
+
+        assert main(["equiv", inf_a_file, inf_a_file, "--max-period", "0"]) == USAGE
+        assert "must be at least 1" in capsys.readouterr().err
+        assert main(["equiv", inf_a_file, inf_a_file]) == OK
+
+    @pytest.mark.parametrize("argv", [["--help"], ["convert", "--help"]])
+    def test_help_matches_a_fresh_parser(self, inf_a_file, capsys, argv):
+        assert main(["validate", inf_a_file]) == OK
+        capsys.readouterr()
+        assert main(argv) == OK
+        reused = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 0
+        fresh = capsys.readouterr()
+        assert reused.out.startswith("usage: obat") and (reused.out, reused.err) == (fresh.out, fresh.err)
+
+    def test_second_call_builds_no_parser(self, inf_a_file, capsys, monkeypatch):
+        assert main(["validate", inf_a_file]) == OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["stats", inf_a_file]) == OK
+        assert main(["frobnicate"]) == USAGE
+        assert built == []
+        build_parser()
+        assert built[0] == "obat"
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+            "import obat, obat.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(obat.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}
+        )
+        assert done.stdout == "0\n"

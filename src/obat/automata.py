@@ -60,14 +60,16 @@ class Morphism:
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
 
-    def apply(self, w: UPWord) -> UPWord:
+    def rename(self, *parts: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+        """Each letter sequence renamed; the first letter outside the domain is a usage error."""
         m = self.as_dict()
         try:
-            return UPWord(
-                tuple(m[x] for x in w.prefix), tuple(m[x] for x in w.period)
-            )
+            return tuple(tuple(m[x] for x in part) for part in parts)
         except KeyError as e:
             raise UsageError(f"letter {e.args[0]!r} not in morphism domain") from None
+
+    def apply(self, w: UPWord) -> UPWord:
+        return UPWord(*self.rename(w.prefix, w.period))
 
 
 @dataclass
@@ -282,13 +284,11 @@ def _post(succ: dict, states: frozenset) -> frozenset:
     return frozenset(out)
 
 
-def _require_letters(letters: frozenset, w: UPWord) -> None:
-    """Raise a usage error naming the first letter of ``w`` outside ``letters``."""
-    if letters.issuperset(w.prefix) and letters.issuperset(w.period):
-        return
-    for x in w.prefix + w.period:
-        if x not in letters:
-            raise UsageError(f"unknown letter {x!r}")
+def _require_letters(letters: frozenset, *parts: tuple[str, ...]) -> None:
+    """Raise a usage error naming the first letter of ``parts`` outside ``letters``."""
+    for part in parts:
+        if not letters.issuperset(part):
+            raise UsageError(f"unknown letter {next(x for x in part if x not in letters)!r}")
 
 
 class ObaOracle:
@@ -296,9 +296,11 @@ class ObaOracle:
 
     A word u·v^ω is accepted iff some state reachable at a period boundary
     lies, in the period-unrolled graph, in a strongly connected component
-    containing a Büchi edge.  Queries are memoized per queried prefix and
-    period.  A morphism is folded into the letter table at construction, so
-    its letters index the tiles directly.
+    containing a Büchi edge.  ``after(u)`` is the set of states reachable
+    after u and ``accepts(state, v)`` decides the rest, so ``member`` is their
+    composition; every oracle here splits a query the same way.  Queries are
+    memoized per queried prefix and period.  A morphism is folded into the
+    letter table at construction, so its letters index the tiles directly.
     """
 
     def __init__(self, a: OrderedBuchiAutomaton, morphism: Morphism | None = None):
@@ -317,12 +319,13 @@ class ObaOracle:
         self._boundary: dict[tuple[frozenset[int], tuple[str, ...]], frozenset[int]] = {}
         self._acc: dict[tuple[str, ...], frozenset[int]] = {}
 
-    def _check_letters(self, w: UPWord) -> None:
-        if self.morphism is None:
-            _require_letters(self._letters, w)
-        elif not (self._letters.issuperset(w.prefix) and self._letters.issuperset(w.period)):
-            # name the letter outside the domain, else the missing tile
-            _require_letters(frozenset(self.automaton.alphabet), self.morphism.apply(w))
+    def _check_letters(self, *parts: tuple[str, ...]) -> None:
+        for part in parts:
+            if self._letters.issuperset(part):
+                continue
+            if self.morphism is not None:  # name a letter outside the domain, else the missing tile
+                _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
+            _require_letters(self._letters, part)
 
     def _step(self, states: frozenset[int], letter: str) -> frozenset[int]:
         return _post(self._succ[letter], states)
@@ -369,11 +372,26 @@ class ObaOracle:
         self._acc[period] = result
         return result
 
+    def _state(self, prefix: tuple[str, ...]) -> frozenset[int]:
+        return _walk(self._prefix_reach, prefix, self.automaton.initial, self._step)
+
+    def _decide(self, state: frozenset[int], period: tuple[str, ...]) -> bool:
+        return bool(self._boundary_states(state, period) & self._accepting_boundary_states(period))
+
+    def after(self, prefix: tuple[str, ...]) -> frozenset[int]:
+        """The set of states reachable after ``prefix``."""
+        self._check_letters(prefix)
+        return self._state(prefix)
+
+    def accepts(self, state: frozenset[int], period: tuple[str, ...]) -> bool:
+        """Whether period^ω is accepted from the state set ``state``."""
+        self._check_letters(period)
+        return self._decide(state, period)
+
     def member(self, w: UPWord) -> bool:
-        self._check_letters(w)
-        start = _walk(self._prefix_reach, w.prefix, self.automaton.initial, self._step)
-        reach = self._boundary_states(start, w.period)
-        return bool(reach & self._accepting_boundary_states(w.period))
+        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
+        self._check_letters(w.prefix, w.period)
+        return self._decide(self._state(w.prefix), w.period)
 
     __call__ = member
 
@@ -410,7 +428,7 @@ class DpaOracle:
             self._delta[(p, a)] = (c, q)
         (self._initial,) = d.initial
         self._letters = d.effective_alphabet
-        self._after: dict[tuple[str, ...], str | None] = {}
+        self._run: dict[tuple[str, ...], str | None] = {}
         self._lasso: dict[tuple[str | None, tuple[str, ...]], bool] = {}
 
     def _step(self, state: str | None, letter: str) -> str | None:
@@ -448,9 +466,23 @@ class DpaOracle:
         self._lasso[key] = result
         return result
 
+    def _state(self, prefix: tuple[str, ...]) -> str | None:
+        return _walk(self._run, prefix, self._initial, self._step)
+
+    def after(self, prefix: tuple[str, ...]) -> str | None:
+        """The run state after ``prefix``; None once the run has died."""
+        _require_letters(self._letters, prefix)
+        return self._state(prefix)
+
+    def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
+        """Whether the run from ``state`` on period^ω is accepting."""
+        _require_letters(self._letters, period)
+        return self._lasso_accepts(state, period)
+
     def member(self, w: UPWord) -> bool:
-        _require_letters(self._letters, w)
-        return self._lasso_accepts(_walk(self._after, w.prefix, self._initial, self._step), w.period)
+        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
+        _require_letters(self._letters, w.prefix, w.period)
+        return self._lasso_accepts(self._state(w.prefix), w.period)
 
     __call__ = member
 
@@ -556,11 +588,6 @@ class NpaOracle:
         """Value-set matrix of a period; acceptance needs its least priorities."""
         return _walk(self._word_mat, period, self._unit, lambda m, x: _mat_mul(m, self._letter(x)))
 
-    def _check(self, w: UPWord) -> None:
-        _require_letters(self._letters, w)
-        if all(x == EPS for x in w.period):
-            raise UsageError("period must contain a non-ε letter")
-
     def _accepting_states(self, period: tuple[str, ...]) -> frozenset[str]:
         """States with an even-value self-cycle over some power of the period."""
         if period in self._acc:
@@ -597,11 +624,32 @@ class NpaOracle:
         self._boundary[key] = result
         return result
 
+    def _state(self, prefix: tuple[str, ...]) -> frozenset[str]:
+        return _walk(self._prefix_reach, prefix, self.automaton.initial, self._step)
+
+    def _check_period(self, period: tuple[str, ...]) -> None:
+        _require_letters(self._letters, period)
+        if all(x == EPS for x in period):
+            raise UsageError("period must contain a non-ε letter")
+
+    def _decide(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
+        return bool(self._boundary_states(state, period) & self._accepting_states(period))
+
+    def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
+        """The start set of the period: the states reachable after ``prefix``."""
+        _require_letters(self._letters, prefix)
+        return self._state(prefix)
+
+    def accepts(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
+        """Whether period^ω is accepted from the state set ``state``."""
+        self._check_period(period)
+        return self._decide(state, period)
+
     def member(self, w: UPWord) -> bool:
-        self._check(w)
-        start = _walk(self._prefix_reach, w.prefix, self.automaton.initial, self._step)
-        reach = self._boundary_states(start, w.period)
-        return bool(reach & self._accepting_states(w.period))
+        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
+        _require_letters(self._letters, w.prefix)
+        self._check_period(w.period)
+        return self._decide(self._state(w.prefix), w.period)
 
     __call__ = member
 

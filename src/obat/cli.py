@@ -53,25 +53,39 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return _object(doc, "top level", path)
+    return _typed(doc, dict, "top level", path)
 
 
-def _object(value, what: str, path: str) -> dict:
-    """``value`` if it is a JSON object, else a validation error naming ``what``."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{path}: {what} must be a JSON object, got {type(value).__name__}")
+_JSON_NAMES = {dict: "object", list: "array"}
+
+
+def _typed(value, kind: type, what: str, path: str):
+    """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
     return value
+
+
+def _require_ints(values, what: str, path: str) -> None:
+    """A validation error naming ``what`` unless every value is a JSON integer (true and 1.0 are not)."""
+    for x in values:
+        if type(x) is not int:
+            raise ValidationError(f"{path}: {what} must be a JSON integer, got {type(x).__name__}")
+
+
+def _universe(names: list, path: str) -> StateUniverse:
+    try:
+        return StateUniverse(tuple(names))
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
     try:
-        try:
-            universe = StateUniverse(tuple(doc["states"]))
-        except ValidationError as e:
-            raise ValidationError(f"{path}: {e}") from None
-        initial = frozenset(universe.index(s) for s in doc["initial"])
+        universe = _universe(_typed(doc["states"], list, "states", path), path)
+        initial = frozenset(universe.index(s) for s in _typed(doc["initial"], list, "initial", path))
         alphabet: dict[str, Tile] = {}
-        for letter, body in _object(doc["alphabet"], "alphabet", path).items():
+        for letter, body in _typed(doc["alphabet"], dict, "alphabet", path).items():
             if letter == EPS:
                 raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
             if "skeleton" in body:
@@ -80,9 +94,10 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
                 build, key = tile_of, "transitions"
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
-            triples = frozenset((int(p), int(c), int(q)) for (p, c, q) in body[key])
+            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, f"tile {letter!r} {key}", path)]
+            _require_ints((x for t in triples for x in t), f"tile {letter!r} entry", path)
             try:
-                alphabet[letter] = build(universe, triples)
+                alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
                 raise ValidationError(f"{path}: tile-not-upward-closed: tile {letter!r} {e}") from None
             except ValidationError as e:
@@ -97,7 +112,7 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
         raise ValidationError(f"{path}: {report.issues[0].kind}: {report.issues[0].message}")
     morphism = None
     if "morphism" in doc:
-        morphism = Morphism.from_dict(_object(doc["morphism"], "morphism", path))
+        morphism = Morphism.from_dict(_typed(doc["morphism"], dict, "morphism", path))
         for letter, name in morphism.mapping:
             if not isinstance(name, str) or name not in alphabet:
                 raise ValidationError(f"{path}: morphism maps {letter!r} to unknown tile {name!r}")
@@ -105,36 +120,45 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
 
 
 def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
-    record_doc = _object(doc["records"], "records", path) if "records" in doc else None
+    record_doc = _typed(doc["records"], dict, "records", path) if "records" in doc else None
     try:
-        states = tuple(doc["states"])
-        lo, hi = doc["index"]
-        transitions = frozenset(
-            (str(p), str(x), int(c), str(q)) for (p, x, c, q) in doc["transitions"]
-        )
-        alphabet = frozenset(doc["alphabet"]) if "alphabet" in doc else None
-        records = None
-        universe = None
+        states = tuple(_typed(doc["states"], list, "states", path))
+        initial = frozenset(_typed(doc["initial"], list, "initial", path))
+        lo, hi = _typed(doc["index"], list, "index", path)
+        _require_ints((lo, hi), "index bound", path)
+        transitions = [(str(p), str(x), c, str(q)) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions", path)]
+        _require_ints((t[2] for t in transitions), "transition priority", path)
+        alphabet = None
+        if "alphabet" in doc:
+            alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet", path))
+            if not all(isinstance(x, str) for x in alphabet):
+                raise ValidationError(f"{path}: alphabet letters must be strings")
+            if EPS in alphabet:
+                raise ValidationError(f"{path}: alphabet letter {EPS!r} is reserved for ε-transitions")
+        records = universe = None
         if record_doc is not None:
-            universe = StateUniverse(tuple(doc["universe"]))
+            universe = _universe(_typed(doc["universe"], list, "universe", path), path)
             records = {
-                name: tuple(universe.index(s) for s in entries)
+                name: tuple(universe.index(s) for s in _typed(entries, list, f"record {name!r}", path))
                 for name, entries in record_doc.items()
             }
+    except (KeyError, TypeError, ValueError) as e:
+        if isinstance(e, ValidationError):
+            raise
+        raise ValidationError(f"{path}: malformed parity document ({e})") from None
+    try:
         return ParityAutomaton(
             states=states,
-            initial=frozenset(doc["initial"]),
-            index=(int(lo), int(hi)),
-            transitions=transitions,
+            initial=initial,
+            index=(lo, hi),
+            transitions=frozenset(transitions),
             deterministic=deterministic,
             alphabet=alphabet,
             records=records,
             universe=universe,
         )
-    except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, ValidationError):
-            raise ValidationError(f"{path}: {e}") from None
-        raise ValidationError(f"{path}: malformed parity document ({e})") from None
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def load_document(path: str):
@@ -158,12 +182,15 @@ def parse_automaton(path: str):
 def parse_rabin_spec(path: str) -> RabinSpec:
     doc = _load_json(path)
     try:
-        return RabinSpec(
-            alphabet=tuple(doc["alphabet"]),
-            pairs=tuple((frozenset(p["G"]), frozenset(p["R"])) for p in doc["pairs"]),
+        alphabet = tuple(_typed(doc["alphabet"], list, "alphabet", path))
+        pairs = tuple(
+            (frozenset(_typed(p["G"], list, "G", path)), frozenset(_typed(p["R"], list, "R", path)))
+            for p in _typed(doc["pairs"], list, "pairs", path)
         )
     except (KeyError, TypeError) as e:
         raise ValidationError(f"{path}: malformed Rabin specification ({e})") from None
+    try:
+        return RabinSpec(alphabet=alphabet, pairs=pairs)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
@@ -206,7 +233,8 @@ def parity_to_doc(a: ParityAutomaton) -> dict:
 
 def write_doc(doc: dict, path: str) -> None:
     with open(path, "w") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
 # --- DOT export -------------------------------------------------------------

@@ -10,8 +10,10 @@ monoid_residuals reads R_A and the kills-max(I) flag that ``obat.determinize``
 computes by a top-successor walk; equiv_up compares two membership oracles
 over every ultimately-periodic word within bounds; check_local_preference
 samples the three factor-closure properties that characterize Eve-positional
-languages.  All enumeration runs in a fixed order (prefix length, period
-length, lexicographic) so reported counterexamples are reproducible.
+languages.  Both decide each (prefix state, period) class once, through the
+oracles' ``after``/``accepts`` split (``split_oracle``).  All enumeration
+runs in a fixed order (prefix length, period length, lexicographic) so
+reported counterexamples are reproducible.
 
 The preference properties quantify over arbitrary infinite continuations in
 their general form; since ω-regular languages are determined by their
@@ -164,6 +166,18 @@ def enumerate_up_words(alphabet, max_prefix: int, max_period: int) -> Iterator[U
             yield UPWord(u, v)
 
 
+def split_oracle(member: MemberFn) -> tuple[Callable, Callable]:
+    """``(after, accepts)`` with ``accepts(after(u), v) == member(u·v^ω)``.
+
+    The oracles of ``obat.automata`` split a query at the state reached after
+    the prefix.  A bare callable is its own trivial split: its state is the
+    prefix itself.
+    """
+    if hasattr(member, "after") and hasattr(member, "accepts"):
+        return member.after, member.accepts
+    return (lambda u: u), (lambda u, v: member(UPWord(u, v)))
+
+
 def equiv_up(
     m1: MemberFn,
     m2: MemberFn,
@@ -171,10 +185,21 @@ def equiv_up(
     max_prefix: int,
     max_period: int,
 ) -> UPWord | None:
-    """First UP word within bounds on which the oracles disagree, or None."""
-    for w in enumerate_up_words(alphabet, max_prefix, max_period):
-        if m1(w) != m2(w):
-            return w
+    """First UP word within bounds on which the oracles disagree, or None.
+
+    The verdict on u·v^ω depends only on the states after u and on v, so the
+    periods are compared once per distinct pair of prefix states; the
+    prefixes are still scanned in order, which keeps the first word.
+    """
+    (after1, accepts1), (after2, accepts2) = split_oracle(m1), split_oracle(m2)
+    periods = list(finite_words(alphabet, max_period, min_len=1))
+    first: dict = {}  # pair of prefix states -> first period they disagree on, or None
+    for u in finite_words(alphabet, max_prefix):
+        key = s1, s2 = after1(u), after2(u)
+        if key not in first:
+            first[key] = next((v for v in periods if accepts1(s1, v) != accepts2(s2, v)), None)
+        if first[key] is not None:
+            return UPWord(u, first[key])
     return None
 
 
@@ -234,12 +259,14 @@ def check_local_preference(
     report = PreferenceReport(
         bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": max_w_prefix}
     )
-    memo: dict[UPWord, bool] = {}
+    after, accepts = split_oracle(member)
+    memo: dict = {}  # (state after the prefix, period) -> verdict
 
-    def m(w: UPWord) -> bool:
-        if w not in memo:
-            memo[w] = member(w)
-        return memo[w]
+    def m(prefix: tuple[str, ...], period: tuple[str, ...]) -> bool:
+        key = (after(prefix), period)
+        if key not in memo:
+            memo[key] = accepts(*key)
+        return memo[key]
 
     us = list(finite_words(alphabet, max_u))
     vs = list(finite_words(alphabet, max_u, min_len=1))
@@ -248,7 +275,7 @@ def check_local_preference(
     # (1) holds iff the accepted-continuation sets of the prefixes form a
     # chain; an incomparable pair yields the witnesses directly.
     accepted = {
-        u: frozenset(i for i, w in enumerate(ws) if m(UPWord(u + w.prefix, w.period)))
+        u: frozenset(i for i, w in enumerate(ws) if m(u + w.prefix, w.period))
         for u in us
     }
     for u, u2 in itertools.combinations(us, 2):
@@ -264,10 +291,10 @@ def check_local_preference(
 
     for u in us:
         for v in vs:
-            v_power = m(UPWord(u, v))
+            v_power = m(u, v)
             for w in ws:
-                if m(UPWord(u + v + w.prefix, w.period)):
-                    if not v_power and not m(UPWord(u + w.prefix, w.period)):
+                if m(u + v + w.prefix, w.period):
+                    if not v_power and not m(u + w.prefix, w.period):
                         report.violations.append(
                             PreferenceViolation(2, {"u": u, "v": v, "w": w})
                         )
@@ -275,8 +302,8 @@ def check_local_preference(
     for u in us:
         for v in vs:
             for v2 in vs:
-                if m(UPWord(u, v + v2)):
-                    if not m(UPWord(u, v)) and not m(UPWord(u, v2)):
+                if m(u, v + v2):
+                    if not m(u, v) and not m(u, v2):
                         report.violations.append(
                             PreferenceViolation(3, {"u": u, "v": v, "v'": v2})
                         )

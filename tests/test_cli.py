@@ -22,7 +22,7 @@ from obat.cli import (
 )
 from obat.determinize import apply_eps_completion, determinize
 
-from zoo import eps_figure, inf_a
+from zoo import eps_figure, fig_inf_b_or_bb_inf_a, inf_a
 
 INF_A_DOC = {
     "kind": "ordered-buchi",
@@ -97,6 +97,14 @@ class TestParsing:
         assert kind == "ordered-buchi" and a2.alphabet == a.alphabet
         write_doc(oba_to_doc(a2), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("which", ["determinization", "eps-completion"])
+    def test_written_bytes_are_indented_json(self, tmp_path, which):
+        det = determinize(fig_inf_b_or_bb_inf_a())
+        doc = parity_to_doc(det if which == "determinization" else apply_eps_completion(det))
+        path = tmp_path / "out.json"
+        write_doc(doc, str(path))
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
     def test_det_parity_round_trip(self, tmp_path):
         det = determinize(inf_a())
@@ -281,8 +289,29 @@ class TestCommands:
             (dict(INF_A_DOC, states=["s0", 1]), "state identifiers must be strings"),
             (dict(GENBUCHI_DOC, records=[], universe=["s0"]), "records must be a JSON object, got list"),
             (dict(GENBUCHI_DOC, states=["w", "sa", 1]), "state identifiers must be strings"),
+            (dict(INF_A_DOC, states="s0s1"), "states must be a JSON array, got str"),
+            (dict(INF_A_DOC, initial="s0"), "initial must be a JSON array, got str"),
+            (dict(INF_A_DOC, alphabet={"a": {"skeleton": [[1.7, 0, True]]}}), "tile 'a' entry must be a JSON integer, got float"),
+            (dict(INF_A_DOC, alphabet={"a": {"skeleton": [[1, True, 1]]}}), "tile 'a' entry must be a JSON integer, got bool"),
+            (dict(INF_A_DOC, alphabet={"a": {"transitions": "abc"}}), "tile 'a' transitions must be a JSON array, got str"),
+            (dict(GENBUCHI_DOC, states="w"), "states must be a JSON array, got str"),
+            (dict(GENBUCHI_DOC, initial="w"), "initial must be a JSON array, got str"),
+            (dict(GENBUCHI_DOC, alphabet="ab"), "alphabet must be a JSON array, got str"),
+            (dict(GENBUCHI_DOC, alphabet=["a", 2]), "alphabet letters must be strings"),
+            (dict(GENBUCHI_DOC, index=[0, 1.5]), "index bound must be a JSON integer, got float"),
+            (dict(GENBUCHI_DOC, index=[False, 1]), "index bound must be a JSON integer, got bool"),
+            (dict(GENBUCHI_DOC, transitions=[["w", "a", 1.0, "w"]]), "transition priority must be a JSON integer, got float"),
+            (
+                dict(GENBUCHI_DOC, records={"w": "s0", "sa": []}, universe=["s", "0"]),
+                "record 'w' must be a JSON array, got str",
+            ),
         ],
-        ids=["alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list", "parity-int-state"],
+        ids=[
+            "alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list",
+            "parity-int-state", "oba-states-string", "oba-initial-string", "skeleton-float", "skeleton-bool",
+            "transitions-string", "parity-states-string", "parity-initial-string", "parity-alphabet-string",
+            "parity-int-letter", "index-float", "index-bool", "priority-float", "record-string",
+        ],
     )
     def test_malformed_document_invalid(self, tmp_path, capsys, doc, message):
         path = tmp_path / "malformed.json"
@@ -290,6 +319,34 @@ class TestCommands:
         assert main(["validate", str(path)]) == FALSE
         assert capsys.readouterr().out == f"{path}: {message}\n"
         assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["det-parity", "parity"])
+    def test_reserved_eps_in_parity_alphabet_invalid(self, tmp_path, capsys, kind):
+        path = tmp_path / "eps-alphabet.json"
+        path.write_text(json.dumps(dict(GENBUCHI_DOC, kind=kind, alphabet=["a", "b", "eps"])))
+        message = f"{path}: alphabet letter 'eps' is reserved for ε-transitions"
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{message}\n"
+        assert main(["member", str(path), "--prefix", "a", "--period", "eps"]) == INVALID
+        assert main(["equiv", str(path), str(path)]) == INVALID
+        assert main(["posi-check", str(path)]) == INVALID
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"validation error: {message}\n" * 3
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"alphabet": "ab", "pairs": [{"G": ["a"], "R": []}]}, "alphabet must be a JSON array, got str"),
+            ({"alphabet": ["a", "b"], "pairs": [{"G": "a", "R": []}]}, "G must be a JSON array, got str"),
+            ({"alphabet": ["a"], "pairs": {"G": ["a"], "R": []}}, "pairs must be a JSON array, got dict"),
+        ],
+        ids=["alphabet-string", "letters-string", "pairs-object"],
+    )
+    def test_malformed_rabin_spec_invalid(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["convert", "rabin", str(path)]) == INVALID
         assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
 
     def test_non_string_rabin_letter_invalid(self, tmp_path, capsys):

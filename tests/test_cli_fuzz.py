@@ -1,0 +1,123 @@
+"""Fuzz of the CLI error contract: a mutated document gets an exit code, never a traceback.
+
+Valid ordered-Büchi, det-parity, parity and Rabin documents are mutated
+(values swapped for other JSON types, keys dropped, ``eps`` inserted, lists
+turned into strings) and fed to the file-reading commands through
+``obat.cli.main``.  Every run must end in one of the documented exit codes
+0-3; an exception escaping ``main`` fails the test.  The examples are
+derandomized, so the run is the same each time.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from obat.cli import main
+
+BASES = {
+    "ordered-buchi": {
+        "kind": "ordered-buchi",
+        "states": ["s0", "s1"],
+        "initial": ["s0", "s1"],
+        "alphabet": {"t": {"skeleton": [[1, 0, 1]]}, "u": {"transitions": [[0, 1, 0], [1, 1, 1]]}},
+        "morphism": {"a": "t", "b": "u"},
+    },
+    "det-parity": {
+        "kind": "det-parity",
+        "states": ["w", "sa"],
+        "initial": ["w"],
+        "index": [0, 1],
+        "transitions": [["w", "a", 1, "sa"], ["w", "b", 1, "w"], ["sa", "a", 1, "sa"], ["sa", "b", 0, "w"]],
+        "alphabet": ["a", "b"],
+    },
+    "parity": {
+        "kind": "parity",
+        "states": ["p", "q"],
+        "initial": ["p"],
+        "index": [0, 2],
+        "transitions": [["p", "a", 1, "q"], ["q", "eps", 2, "p"], ["q", "b", 0, "q"]],
+    },
+    "rabin": {"alphabet": ["a", "b"], "pairs": [{"G": ["a"], "R": ["b"]}, {"G": ["b"], "R": []}]},
+}
+
+COMMANDS = [
+    ["validate"],
+    ["stats"],
+    ["member", "--prefix", "a", "--period", "a b"],
+    ["dot"],
+    ["convert", "rabin"],
+]
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from([0.5, 1.0, -1.7]),
+    st.sampled_from(["", "a", "eps", "s0", "ab", "ordered-buchi"]),
+    st.lists(st.sampled_from(["a", "eps", "s0", 0, 1, True]), max_size=3),
+    st.sampled_from([{}, {"eps": "t"}, {"skeleton": []}]),
+)
+
+
+def _paths(node, prefix=()):
+    """Every path (tuple of keys and indices) below the root of a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, path, op, value):
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    node = parent[last]
+    if op == "drop":
+        del parent[last]
+    elif op == "replace":
+        parent[last] = copy.deepcopy(value)
+    elif op == "stringify":
+        parent[last] = "".join(map(str, node)) if isinstance(node, list) else str(node)
+    elif isinstance(node, list):  # op == "eps"
+        node.append("eps")
+    elif isinstance(node, dict):
+        node["eps"] = copy.deepcopy(next(iter(node.values()), "eps"))
+    else:
+        parent[last] = "eps"
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        _mutate(
+            doc,
+            draw(st.sampled_from(paths)),
+            draw(st.sampled_from(["drop", "replace", "stringify", "eps"])),
+            draw(JSON_VALUES),
+        )
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_documents())
+def test_mutated_documents_get_documented_exit_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        for command in COMMANDS:
+            argv = command[:2] + [path] + command[2:] if command[0] == "convert" else command[:1] + [path] + command[1:]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, doc)

@@ -1,4 +1,5 @@
-"""Prefix walks of the membership oracles: long words, the NPA start set, the morphism fold.
+"""Prefix walks of the membership oracles: long words, the NPA start set, the morphism fold,
+and the split of a query into ``after(prefix)`` and ``accepts(state, period)``.
 
 The long-word tests run at Python's default recursion limit, so an oracle
 that recursed once per letter would fail them.
@@ -30,6 +31,8 @@ from obat import (
 from obat.automata import _TOP, _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
+from obat.verify import enumerate_up_words
+
 from zoo import (
     determinization_corpus,
     eps_complete_corpus,
@@ -38,6 +41,7 @@ from zoo import (
     fig_inf_b_or_bb_inf_a,
     fig_inf_b_or_bb_inf_a_oracle,
     rabin_two_pair,
+    random_oba,
 )
 
 DEFAULT_RECURSION_LIMIT = 1000
@@ -206,3 +210,83 @@ class TestMorphismFold:
         path.write_text(json.dumps(oba_to_doc(oba, morphism)))
         assert main(["member", str(path), "--prefix", "a", "--period", "zz"]) == USAGE
         assert "not in morphism domain" in capsys.readouterr().err
+
+
+def _flavours(a):
+    """Factories for the three oracles of ``a``: itself, its determinization, that one ε-completed."""
+    det = determinize(a)
+    aug = apply_eps_completion(det)
+    return [("oba", lambda: ObaOracle(a)), ("dpa", lambda: DpaOracle(det)), ("npa", lambda: NpaOracle(aug))]
+
+
+def _assert_split_agrees(make, words, flavour, intertwined=True):
+    """``accepts(after(u), v) == member(u·v^ω)``, each side on its own fresh oracle.
+
+    NPA queries are also asked with explicit ε letters (``intertwine``).
+    """
+    split, whole = make(), make()
+    for w in words:
+        for q in (w, intertwine(w)) if flavour == "npa" and intertwined else (w,):
+            assert split.accepts(split.after(q.prefix), q.period) == whole.member(q), (flavour, q)
+
+
+class TestSplitAgreesWithMember:
+    def test_long_words(self, default_recursion_limit):
+        words = _long_words(random.Random(4))[:7]  # the fixed ones; the random ones repeat their shapes
+        for make_a, _ in FIGURES:
+            for flavour, make in _flavours(make_a()):
+                _assert_split_agrees(make, words, flavour, intertwined=False)
+
+    def test_determinization_corpus(self):
+        rng = random.Random(20261020)
+        for name, a in determinization_corpus():
+            letters = sorted(a.alphabet)
+            words = list(enumerate_up_words(letters, 2, 2))
+            words += [_random_word(rng, letters, 12, 6) for _ in range(20)]
+            for flavour, make in _flavours(a):
+                _assert_split_agrees(make, words, flavour)
+
+    def test_random_automata_up_to_six_states(self):
+        rng = random.Random(20261021)
+        sizes = set()
+        for _ in range(40):
+            a = random_oba(rng, max_states=6)
+            sizes.add(a.universe.size)
+            letters = sorted(a.alphabet)
+            words = [_random_word(rng, letters, 10, 5) for _ in range(30)]
+            for flavour, make in _flavours(a):
+                _assert_split_agrees(make, words, flavour)
+        assert 6 in sizes
+
+    def test_morphism_and_eps_corpus(self):
+        rng = random.Random(20261022)
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        letters = sorted(morphism.as_dict())
+        words = [_random_word(rng, letters, 8, 4) for _ in range(100)]
+        _assert_split_agrees(lambda: ObaOracle(oba, morphism), words, "oba")
+        for name, a in eps_complete_corpus():
+            letters = sorted(a.effective_alphabet)
+            words = [_random_word(rng, letters, 8, 4) for _ in range(40)]
+            _assert_split_agrees(lambda: NpaOracle(a), words, "npa")
+
+    @pytest.mark.parametrize("flavour", ["oba", "dpa", "npa"])
+    def test_same_usage_errors_in_the_same_order(self, flavour):
+        make = dict(_flavours(fig_inf_aa_fin_bb()))[flavour]
+        words = [up("az", "a"), up("a", "zb"), up("zy", "x")]
+        if flavour == "npa":
+            words += [up("a", (EPS,)), up("z", (EPS,))]
+        for w in words:
+            with pytest.raises(UsageError) as whole:
+                make().member(w)
+            oracle = make()
+            with pytest.raises(UsageError) as split:
+                oracle.accepts(oracle.after(w.prefix), w.period)
+            assert str(split.value) == str(whole.value), w
+
+    def test_unmapped_period_letter_named_before_a_missing_tile(self):
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        oracle = ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
+        with pytest.raises(UsageError, match="'zz' not in morphism domain"):
+            oracle(up(("x",), ("zz",)))
+        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
+            oracle.after(("x",))

@@ -1,18 +1,43 @@
+import itertools
 import random
 
 import pytest
 
-from obat import ObaOracle, StateUniverse, UsageError, up, upward_closure, unit_tile
+from obat import (
+    DpaOracle,
+    NpaOracle,
+    ObaOracle,
+    StateUniverse,
+    UPWord,
+    UsageError,
+    apply_eps_completion,
+    determinize,
+    up,
+    upward_closure,
+    unit_tile,
+)
 from obat.tiles import skeleton
 from obat.verify import (
     check_local_preference,
     enumerate_up_words,
     enumerate_upward_closed_tiles,
     equiv_up,
+    finite_words,
     skeleton_oracle,
+    split_oracle,
 )
 
-from zoo import genbuchi_oracle, inf_a, random_tile, rabin_two_pair
+from zoo import (
+    determinization_corpus,
+    fig_inf_aa_fin_bb,
+    fig_inf_aa_fin_bb_oracle,
+    fig_inf_b_or_bb_inf_a,
+    fig_inf_b_or_bb_inf_a_oracle,
+    genbuchi_oracle,
+    inf_a,
+    random_tile,
+    rabin_two_pair,
+)
 
 U2 = StateUniverse(("s0", "s1"))
 
@@ -97,3 +122,190 @@ class TestLocalPreference:
 
         report = check_local_preference(oracle, "abc")
         assert any(v.prop == 3 for v in report.violations)
+
+
+# --- the split enumerations against the per-word ones ---------------------------
+
+
+def equiv_per_word(m1, m2, alphabet, max_prefix, max_period):
+    """Reference: one membership query per enumerated word."""
+    for w in enumerate_up_words(alphabet, max_prefix, max_period):
+        if m1(w) != m2(w):
+            return w
+    return None
+
+
+def preference_per_word(member, alphabet, max_u=2, max_period=2, max_w_prefix=2):
+    """Reference: the three properties with one memoized query per distinct word."""
+    memo = {}
+
+    def m(w):
+        if w not in memo:
+            memo[w] = member(w)
+        return memo[w]
+
+    us = list(finite_words(alphabet, max_u))
+    vs = list(finite_words(alphabet, max_u, min_len=1))
+    ws = list(enumerate_up_words(alphabet, max_w_prefix, max_period))
+    found = []
+    accepted = {u: frozenset(i for i, w in enumerate(ws) if m(UPWord(u + w.prefix, w.period))) for u in us}
+    for u, u2 in itertools.combinations(us, 2):
+        only_u, only_u2 = accepted[u] - accepted[u2], accepted[u2] - accepted[u]
+        if only_u and only_u2:
+            found.append((1, {"u": u, "u'": u2, "w": ws[min(only_u)], "w'": ws[min(only_u2)]}))
+    for u in us:
+        for v in vs:
+            for w in ws:
+                if m(UPWord(u + v + w.prefix, w.period)):
+                    if not m(UPWord(u, v)) and not m(UPWord(u + w.prefix, w.period)):
+                        found.append((2, {"u": u, "v": v, "w": w}))
+    for u in us:
+        for v in vs:
+            for v2 in vs:
+                if m(UPWord(u, v + v2)) and not m(UPWord(u, v)) and not m(UPWord(u, v2)):
+                    found.append((3, {"u": u, "v": v, "v'": v2}))
+    return found
+
+
+def _violations(report):
+    return [(v.prop, v.witness) for v in report.violations]
+
+
+def _flavours(a):
+    det = determinize(a)
+    aug = apply_eps_completion(det)
+    return [lambda: ObaOracle(a), lambda: DpaOracle(det), lambda: NpaOracle(aug)]
+
+
+class Flipped:
+    """An oracle whose verdict is flipped on one (prefix state, period) class."""
+
+    def __init__(self, inner, word):
+        self.inner = inner
+        self.state, self.period = inner.after(word.prefix), word.period
+
+    def after(self, prefix):
+        return self.inner.after(prefix)
+
+    def accepts(self, state, period):
+        return self.inner.accepts(state, period) != (state == self.state and period == self.period)
+
+    def __call__(self, w):
+        return self.accepts(self.after(w.prefix), w.period)
+
+
+def _corpus_pairs(count):
+    """Pairs of same-alphabet automata from the determinization corpus, in a fixed order."""
+    by_letters = {}
+    for _, a in determinization_corpus():
+        by_letters.setdefault(tuple(sorted(a.alphabet)), []).append(a)
+    pairs = [(x, y) for group in by_letters.values() for x, y in zip(group, group[1:])]
+    return pairs[:count]
+
+
+class TestSplitEnumerations:
+    BOUNDS = (3, 3)
+
+    def test_equiv_same_counterexample_across_flavours(self):
+        found = 0
+        for a, b in _corpus_pairs(24):
+            letters = sorted(a.alphabet)
+            for make1, make2 in itertools.product(_flavours(a), _flavours(b)):
+                got = equiv_up(make1(), make2(), letters, *self.BOUNDS)
+                assert got == equiv_per_word(make1(), make2(), letters, *self.BOUNDS)
+                found += got is not None
+        assert found > 20
+
+    def test_equiv_injected_late_disagreement(self):
+        rng = random.Random(11)
+        for _, a in determinization_corpus()[:24]:
+            letters = sorted(a.alphabet)
+            words = list(enumerate_up_words(letters, *self.BOUNDS))
+            for make in _flavours(a):
+                late = words[rng.randrange(len(words) // 2, len(words))]
+                want = equiv_per_word(make(), Flipped(make(), late), letters, *self.BOUNDS)
+                assert want is not None and words.index(want) <= words.index(late)
+                assert equiv_up(make(), Flipped(make(), late), letters, *self.BOUNDS) == want
+                assert equiv_up(Flipped(make(), late), make(), letters, *self.BOUNDS) == want
+
+    def test_equiv_bare_callables(self):
+        last = list(enumerate_up_words("ab", 3, 4))[-1]
+        for make, hand in [(fig_inf_aa_fin_bb, fig_inf_aa_fin_bb_oracle), (fig_inf_b_or_bb_inf_a, fig_inf_b_or_bb_inf_a_oracle)]:
+            oracle = ObaOracle(make())
+            late = lambda w: hand(w) != (w == last)
+            assert equiv_up(oracle, hand, "ab", 3, 4) is None
+            assert equiv_up(oracle, late, "ab", 3, 4) == last
+            assert equiv_up(late, oracle, "ab", 3, 4) == last
+            assert equiv_up(hand, late, "ab", 3, 4) == last
+        other = equiv_up(fig_inf_aa_fin_bb_oracle, ObaOracle(fig_inf_b_or_bb_inf_a()), "ab", 3, 4)
+        assert other == equiv_per_word(fig_inf_aa_fin_bb_oracle, fig_inf_b_or_bb_inf_a_oracle, "ab", 3, 4)
+
+    def test_preference_same_violations(self):
+        # languages of ordered Büchi automata are positional: only the bare
+        # callables and the injected disagreements below produce violations
+        two_letter = [a for _, a in determinization_corpus() if len(a.alphabet) <= 2][:10]
+        cases = [(make, sorted(a.alphabet)) for a in two_letter for make in _flavours(a)]
+        cases += [(lambda: genbuchi_oracle, "ab"), (lambda: lambda w: {"a", "b"} <= set(w.period), "abc")]
+        for make, letters in cases:
+            got = _violations(check_local_preference(make(), letters))
+            assert got == preference_per_word(make(), letters)
+
+    def test_preference_injected_disagreement(self):
+        props = set()
+        for make in _flavours(fig_inf_b_or_bb_inf_a()):
+            for late in (up("bb", "ab"), up("ba", "b"), up("", "ba"), up("a", "bab")):
+                got = _violations(check_local_preference(Flipped(make(), late), "ab"))
+                assert got == preference_per_word(Flipped(make(), late), "ab")
+                props.update(prop for prop, _ in got)
+        assert props == {1, 2, 3}
+
+    def test_bare_callable_state_is_the_prefix(self):
+        after, accepts = split_oracle(genbuchi_oracle)
+        assert after(("a", "b")) == ("a", "b")
+        assert accepts(("a",), ("b", "a")) == genbuchi_oracle(up("a", "ba"))
+
+
+class TestEachClassDecidedOnce:
+    """Structural call counts: one ``accepts`` per class and period, no ``member``."""
+
+    @pytest.fixture
+    def no_member(self, monkeypatch):
+        def refuse(self, w):
+            raise AssertionError("member called during an enumeration")
+
+        for cls in (ObaOracle, DpaOracle, NpaOracle):
+            monkeypatch.setattr(cls, "member", refuse)
+            monkeypatch.setattr(cls, "__call__", refuse)
+
+    @staticmethod
+    def _counting(oracle):
+        calls = []
+        accepts = oracle.accepts
+        oracle.accepts = lambda state, period: calls.append((state, period)) or accepts(state, period)
+        return calls
+
+    def test_equiv(self, no_member):
+        max_prefix, max_period = 3, 3
+        saved = 0
+        for a, b in _corpus_pairs(12):
+            letters = sorted(a.alphabet)
+            prefixes = list(finite_words(letters, max_prefix))
+            periods = len(list(finite_words(letters, max_period, min_len=1)))
+            for make1, make2 in itertools.product(_flavours(a), _flavours(b)):
+                o1, o2 = make1(), make2()
+                calls1, calls2 = self._counting(o1), self._counting(o2)
+                equiv_up(o1, o2, letters, max_prefix, max_period)
+                classes = {(o1.after(u), o2.after(u)) for u in prefixes}
+                assert len(calls1) <= len(classes) * periods
+                assert len(calls2) <= len(classes) * periods
+                saved += len(calls1) < len(prefixes)
+        assert saved
+
+    def test_local_preference(self, no_member):
+        for _, a in determinization_corpus()[:12]:
+            letters = sorted(a.alphabet)
+            for make in _flavours(a):
+                oracle = make()
+                calls = self._counting(oracle)
+                check_local_preference(oracle, letters)
+                assert len(calls) == len(set(calls))

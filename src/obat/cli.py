@@ -147,7 +147,7 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
             raise
         raise ValidationError(f"{path}: malformed parity document ({e})") from None
     try:
-        return ParityAutomaton(
+        a = ParityAutomaton(
             states=states,
             initial=initial,
             index=(lo, hi),
@@ -159,6 +159,15 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
+    if records is not None:
+        declared = set(states)
+        for name in records:
+            if name not in declared:
+                raise ValidationError(f"{path}: record {name!r} is not a declared state")
+        for name in states:
+            if name not in records:
+                raise ValidationError(f"{path}: records omit state {name!r}")
+    return a
 
 
 def load_document(path: str):

@@ -125,12 +125,85 @@ class EpsReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _eps_relations(a: ParityAutomaton) -> dict[int, set[tuple[str, str]]]:
-    rel: dict[int, set[tuple[str, str]]] = {}
+def _eps_table(a: ParityAutomaton) -> tuple[list[str], dict[int, list[int]]]:
+    """The ε-edges as down-sets: the distinct states in declaration order (a
+    state declared twice counts once) and, per ε-priority, each state's
+    bitmask of the states its ε-edges reach.
+
+    Bit i stands for ``states[i]``, so a mask's lowest set bit is its first
+    state in declaration order.  At an odd level of an ε-complete automaton
+    the relation is a total preorder and a state's row is exactly the set of
+    states ranked at or below it.
+    """
+    states = list(dict.fromkeys(a.states))
+    at = {q: i for i, q in enumerate(states)}
+    table: dict[int, list[int]] = {}
     for (p, x, c, q) in a.transitions:
         if x == EPS:
-            rel.setdefault(c, set()).add((p, q))
-    return rel
+            if c not in table:
+                table[c] = [0] * len(states)
+            table[c][at[p]] |= 1 << at[q]
+    return states, table
+
+
+def _bits(mask: int):
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Row i of the result holds the states whose rows contain i."""
+    cols = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        for j in _bits(mask):
+            cols[j] |= 1 << i
+    return cols
+
+
+def _eps_violations(a: ParityAutomaton, states: list[str], table: dict[int, list[int]]) -> list[EpsViolation]:
+    """Each axiom's first witness, in state order, by bitmask tests on the down-sets."""
+    lo, hi = a.index
+    if hi % 2 == 0 or hi < 1:
+        raise UsageError(f"ε-completeness needs an odd index upper bound, got [{lo},{hi}]")
+    if lo > 0:
+        raise UsageError(f"ε-completeness needs the index to start at 0, got [{lo},{hi}]")
+    n = len(states)
+    full = (1 << n) - 1
+    empty = [0] * n
+    down = {c: table.get(c, empty) for c in range(1, hi + 1, 2)}
+    up = {c: _transpose(rows) for c, rows in down.items()}
+    violations: list[EpsViolation] = []
+
+    def report(axiom: str, c: int, candidates) -> None:
+        """The witness ``key + (lowest set bit,)`` of the first nonzero mask among ``(key, mask)`` pairs."""
+        for key, mask in candidates:
+            if mask:
+                witness = key + (next(_bits(mask)),)
+                violations.append(EpsViolation(axiom, c, tuple(states[i] for i in witness)))
+                return
+
+    for c, d in down.items():
+        report("reflexivity", c, (((), ~d[i] & 1 << i) for i in range(n)))
+        # p ≥ q ≥ s but not p ≥ s: s is in D(q) and missing from D(p)
+        report("transitivity", c, (((i, j), d[j] & ~d[i]) for i in range(n) for j in _bits(d[i])))
+        # some q after p in state order is unrelated to p either way
+        report("totality", c, (((i,), (full ^ ((2 << i) - 1)) & ~(d[i] | up[c][i])) for i in range(n)))
+    for c in range(1, hi - 1, 2):
+        fine, coarse = down[c + 2], down[c]
+        for i in sorted(range(n), key=states.__getitem__):  # the least pair by name
+            gap = fine[i] & ~coarse[i]
+            if gap:
+                q = min(_bits(gap), key=states.__getitem__)
+                violations.append(EpsViolation("refinement", c + 2, (states[i], states[q])))
+                break
+    for c in range(0, hi, 2):
+        # p > q strictly iff not q ≥ p: the strict row of p is the complement of p's odd up-set
+        strict, above = table.get(c, empty), up[c + 1]
+        report("strict-variant", c, (((i,), full & ~(strict[i] ^ above[i])) for i in range(n)))
+    return violations
 
 
 def check_eps_complete(a: ParityAutomaton) -> EpsReport:
@@ -139,62 +212,10 @@ def check_eps_complete(a: ParityAutomaton) -> EpsReport:
     Odd ε-relations must be total preorders, each refined by the next; each
     even relation must be the strict variant of the odd one above it.  The
     index's upper bound must be odd; a lower bound of -1 (as produced by the
-    determinization) is tolerated.
+    determinization) is tolerated.  Every axiom is a bitmask test on the
+    down-sets of :func:`_eps_table`: O(levels·|S|²) word operations.
     """
-    lo, hi = a.index
-    if hi % 2 == 0 or hi < 1:
-        raise UsageError(f"ε-completeness needs an odd index upper bound, got [{lo},{hi}]")
-    if lo > 0:
-        raise UsageError(f"ε-completeness needs the index to start at 0, got [{lo},{hi}]")
-    rel = _eps_relations(a)
-    states = a.states
-    violations: list[EpsViolation] = []
-
-    for c in range(1, hi + 1, 2):
-        r = rel.get(c, set())
-        for q in states:
-            if (q, q) not in r:
-                violations.append(EpsViolation("reflexivity", c, (q,)))
-                break
-        done = False
-        for p in states:
-            for q in states:
-                for s in states:
-                    if (p, q) in r and (q, s) in r and (p, s) not in r:
-                        violations.append(EpsViolation("transitivity", c, (p, q, s)))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        for (p, q) in _first_pairs(states):
-            if (p, q) not in r and (q, p) not in r:
-                violations.append(EpsViolation("totality", c, (p, q)))
-                break
-    for c in range(1, hi - 1, 2):
-        fine, coarse = rel.get(c + 2, set()), rel.get(c, set())
-        for pair in sorted(fine - coarse):
-            violations.append(EpsViolation("refinement", c + 2, pair))
-            break
-    for c in range(0, hi, 2):
-        strict, odd = rel.get(c, set()), rel.get(c + 1, set())
-        done = False
-        for p in states:
-            for q in states:
-                if ((p, q) in strict) != ((q, p) not in odd):
-                    violations.append(EpsViolation("strict-variant", c, (p, q)))
-                    done = True
-                    break
-            if done:
-                break
-    return EpsReport(violations)
-
-
-def _first_pairs(states):
-    for i, p in enumerate(states):
-        for q in states[i + 1 :]:
-            yield (p, q)
+    return EpsReport(_eps_violations(a, *_eps_table(a)))
 
 
 # --- ε-tree and the parity-to-ordered-Büchi translation ---------------------
@@ -229,63 +250,32 @@ class EpsTree:
         return max((n.depth for n in self.nodes_desc), default=0)
 
 
-def _classes_desc(states, rel: set[tuple[str, str]]) -> list[frozenset[str]]:
-    """Equivalence classes of a total preorder, greatest class first."""
-    classes: list[set[str]] = []
-    for q in states:
-        for cls in classes:
-            rep = next(iter(cls))
-            if (q, rep) in rel and (rep, q) in rel:
-                cls.add(q)
-                break
-        else:
-            classes.append({q})
-    def above(c1, c2):
-        return (next(iter(c1)), next(iter(c2))) in rel
-    ordered: list[set[str]] = []
-    for cls in classes:
-        at = 0
-        while at < len(ordered) and above(ordered[at], cls):
-            at += 1
-        ordered.insert(at, cls)
-    return [frozenset(c) for c in ordered]
-
-
 def build_eps_tree(a: ParityAutomaton) -> EpsTree:
-    """Stratify an ε-complete automaton into its tree of odd classes."""
-    report = check_eps_complete(a)
-    if not report.ok:
-        raise UsageError(f"automaton is not ε-complete: {report.violations[0]}")
-    rel = _eps_relations(a)
-    _, hi = a.index
-    levels = (hi + 1) // 2
-    per_level = {
-        d: _classes_desc(a.states, rel.get(2 * d - 1, set())) for d in range(1, levels + 1)
-    }
-    children: dict[EpsNode, tuple[EpsNode, ...]] = {}
-    parent: dict[EpsNode, EpsNode | None] = {}
-    nodes_desc: list[EpsNode] = []
+    """Stratify an ε-complete automaton into its tree of odd classes.
 
-    def visit(node: EpsNode) -> None:
-        nodes_desc.append(node)
-        if node.depth == levels:
-            children[node] = ()
-            return
-        kids = tuple(
-            EpsNode(node.depth + 1, cls)
-            for cls in per_level[node.depth + 1]
-            if cls <= node.members
-        )
-        children[node] = kids
-        for kid in kids:
-            parent[kid] = node
-            visit(kid)
-
-    for cls in per_level.get(1, []):
-        root = EpsNode(1, cls)
-        parent[root] = None
-        visit(root)
-    return EpsTree(tuple(nodes_desc), children, parent)
+    A state's rank at an odd level is the size of its down-set there, so the
+    depth-d node of a state is the set of states sharing its first d ranks.
+    Sorting those rank prefixes descending, each before its extensions, gives
+    the depth-first order.
+    """
+    states, table = _eps_table(a)
+    violations = _eps_violations(a, states, table)
+    if violations:
+        raise UsageError(f"automaton is not ε-complete: {violations[0]}")
+    rows = [table.get(c, [0] * len(states)) for c in range(1, a.index[1] + 1, 2)]
+    members: dict[tuple[int, ...], set[str]] = {}
+    for i, q in enumerate(states):
+        rank = tuple(row[i].bit_count() for row in rows)
+        for d in range(1, len(rank) + 1):
+            members.setdefault(rank[:d], set()).add(q)
+    desc = sorted(members, key=lambda k: [-r for r in k])
+    node = {k: EpsNode(len(k), frozenset(members[k])) for k in desc}
+    parent = {n: node.get(k[:-1]) for k, n in node.items()}
+    children: dict[EpsNode, list[EpsNode]] = {n: [] for n in parent}
+    for kid, up in parent.items():
+        if up is not None:
+            children[up].append(kid)
+    return EpsTree(tuple(node.values()), {n: tuple(kids) for n, kids in children.items()}, parent)
 
 
 def pref_leq(c: int, x: int) -> bool:
@@ -303,65 +293,39 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     two depth-d nodes with priority 1 when some underlying transition between
     their members carries a priority preferred to 2d-1, and with a Büchi
     transition when it is preferred to 2d-2.  The ε letter maps to the unit
-    tile and the morphism covers it alongside the real alphabet.
+    tile and the morphism covers it alongside the real alphabet.  One pass
+    over the transitions adds each one's generators at every depth.
     """
     tree = build_eps_tree(a)
-    rel_top = _eps_relations(a).get(a.index[1], set())
+    state_order = {q: i for i, q in enumerate(a.states)}
+    nodes_desc = tree.nodes_desc
+    universe = StateUniverse(tuple(n.label(state_order) for n in reversed(nodes_desc)))
+    idx = {node: len(nodes_desc) - 1 - k for k, node in enumerate(nodes_desc)}
+    at_depth = {q: [0] * tree.depth for q in a.states}  # each state's node index per depth
+    for node, i in idx.items():
+        for q in node.members:
+            at_depth[q][node.depth - 1] = i
     for q in a.initial:
-        for q2 in a.states:
-            if (q, q2) in rel_top and q2 not in a.initial:
+        for q2 in a.states:  # the finest preorder orders states as their leaves do
+            if at_depth[q2][-1] <= at_depth[q][-1] and q2 not in a.initial:
                 raise UsageError(
                     f"initial set not downward-closed for the finest ε-preorder: "
                     f"{q!r} is initial, {q2!r} below it is not"
                 )
-    state_order = {q: i for i, q in enumerate(a.states)}
-    nodes_desc = tree.nodes_desc
-    names_desc = [n.label(state_order) for n in nodes_desc]
-    universe = StateUniverse(tuple(reversed(names_desc)))
-    idx = {node: universe.index(name) for node, name in zip(nodes_desc, names_desc)}
-
-    top_initial = None
-    for node in nodes_desc:  # greatest first
-        if node.depth == 1 and node.members & a.initial:
-            top_initial = node
-            break
-    initial = (
-        frozenset(range(idx[top_initial] + 1)) if top_initial is not None else frozenset()
-    )
-
-    by_letter: dict[str, dict[tuple[str, str], list[int]]] = {}
-    for (p, x, c, q) in a.transitions:
-        by_letter.setdefault(x, {}).setdefault((p, q), []).append(c)
-
-    same_depth = {}
-    for d in range(1, tree.depth + 1):
-        same_depth[d] = [n for n in nodes_desc if n.depth == d]
-
-    def tile_for(x: str) -> Tile:
-        gen: set[tuple[int, int, int]] = set()
-        pairs = by_letter.get(x, {})
-        for d, nodes in same_depth.items():
-            for n1 in nodes:
-                for n2 in nodes:
-                    cs = [
-                        c
-                        for (p, q), clist in pairs.items()
-                        if p in n1.members and q in n2.members
-                        for c in clist
-                    ]
-                    if any(pref_leq(c, 2 * d - 1) for c in cs):
-                        gen.add((idx[n1], 1, idx[n2]))
-                    if any(pref_leq(c, 2 * d - 2) for c in cs):
-                        gen.add((idx[n1], 0, idx[n2]))
-        return upward_closure(universe, gen)
+    # every node up to the greatest depth-1 node holding an initial state
+    initial = frozenset(range(max((at_depth[q][0] for q in a.initial), default=-1) + 1))
 
     letters = sorted(a.effective_alphabet) + [EPS]
-    tiles = {x: tile_for(x) for x in letters}
-    alphabet, morphism = _name_tiles(tiles)
-    return (
-        OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet),
-        morphism,
-    )
+    gens: dict[str, set[tuple[int, int, int]]] = {x: set() for x in letters}
+    for (p, x, c, q) in a.transitions:
+        if x in gens:
+            for d, (n1, n2) in enumerate(zip(at_depth[p], at_depth[q]), start=1):
+                if pref_leq(c, 2 * d - 1):
+                    gens[x].add((n1, 1, n2))
+                if pref_leq(c, 2 * d - 2):
+                    gens[x].add((n1, 0, n2))
+    alphabet, morphism = _name_tiles({x: upward_closure(universe, gen) for x, gen in gens.items()})
+    return OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet), morphism
 
 
 def intertwine(w: UPWord) -> UPWord:

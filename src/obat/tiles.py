@@ -68,11 +68,6 @@ class StateUniverse:
         return self.states[i]
 
 
-def universe_of_ints(n: int) -> StateUniverse:
-    """Universe with states named "0".."n-1", natural order."""
-    return StateUniverse(tuple(str(i) for i in range(n)))
-
-
 def trans_leq(d1: Transition, d2: Transition) -> bool:
     """Transition order: source up, destination down, priority up at equal endpoints."""
     p1, c1, q1 = d1

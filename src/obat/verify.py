@@ -171,7 +171,8 @@ def split_oracle(member: MemberFn) -> tuple[Callable, Callable]:
 
     The oracles of ``obat.automata`` split a query at the state reached after
     the prefix.  A bare callable is its own trivial split: its state is the
-    prefix itself.
+    prefix itself.  Either way ``after(x·y)`` depends only on ``after(x)``
+    and y, so prefixes with equal states have equal continuations.
     """
     if hasattr(member, "after") and hasattr(member, "accepts"):
         return member.after, member.accepts
@@ -271,13 +272,19 @@ def check_local_preference(
     us = list(finite_words(alphabet, max_u))
     vs = list(finite_words(alphabet, max_u, min_len=1))
     ws = list(enumerate_up_words(alphabet, max_w_prefix, max_period))
+    continuations: dict = {}  # state after a prefix -> indices of the ws it accepts
+
+    def accepted_after(prefix: tuple[str, ...]) -> frozenset[int]:
+        state = after(prefix)
+        if state not in continuations:
+            continuations[state] = frozenset(
+                i for i, w in enumerate(ws) if m(prefix + w.prefix, w.period)
+            )
+        return continuations[state]
 
     # (1) holds iff the accepted-continuation sets of the prefixes form a
     # chain; an incomparable pair yields the witnesses directly.
-    accepted = {
-        u: frozenset(i for i, w in enumerate(ws) if m(u + w.prefix, w.period))
-        for u in us
-    }
+    accepted = {u: accepted_after(u) for u in us}
     for u, u2 in itertools.combinations(us, 2):
         only_u = accepted[u] - accepted[u2]
         only_u2 = accepted[u2] - accepted[u]
@@ -289,15 +296,13 @@ def check_local_preference(
                 )
             )
 
+    # (2) fails for (u, v) exactly on the continuations of u·v that u lacks,
+    # when u·v^ω is rejected.
     for u in us:
         for v in vs:
-            v_power = m(u, v)
-            for w in ws:
-                if m(u + v + w.prefix, w.period):
-                    if not v_power and not m(u + w.prefix, w.period):
-                        report.violations.append(
-                            PreferenceViolation(2, {"u": u, "v": v, "w": w})
-                        )
+            if not m(u, v):
+                for i in sorted(accepted_after(u + v) - accepted[u]):
+                    report.violations.append(PreferenceViolation(2, {"u": u, "v": v, "w": ws[i]}))
 
     for u in us:
         for v in vs:

@@ -31,6 +31,7 @@ from obat import (
     upward_closure,
 )
 from obat.convert import (
+    build_eps_tree,
     check_eps_complete,
     horizontal_complete_alphabet,
     parity_to_oba,
@@ -239,7 +240,8 @@ def test_omega_power_criterion(corpus):
 
 
 @criterion(10, "optimality: horizontal-complete reachable set is exactly S_R "
-               "and meets the record bound; every reachable record sits in S_R")
+               "and meets the record bound, and its ε-completion checks out; "
+               "every reachable record sits in S_R")
 def test_optimality_experiment(corpus):
     sizes = {}
     for n in (2, 3, 4, 5, 6):
@@ -250,6 +252,9 @@ def test_optimality_experiment(corpus):
         budget = {r.entries for r in candidate_records(a)}
         assert reached == budget, f"|Q|={n}: {sorted(reached)} != {sorted(budget)}"
         assert len(reached) == record_count_bound(n), f"|Q|={n}: {len(reached)} records"
+        augmented = apply_eps_completion(det)
+        assert check_eps_complete(augmented).ok, f"|Q|={n}"
+        assert build_eps_tree(augmented).depth == n, f"|Q|={n}"
         sizes[n] = len(reached)
     assert sizes[4] == 11 and sizes[5] == 35 and sizes[6] == 155
     for name, a, det in corpus:

@@ -305,12 +305,18 @@ class TestCommands:
                 dict(GENBUCHI_DOC, records={"w": "s0", "sa": []}, universe=["s", "0"]),
                 "record 'w' must be a JSON array, got str",
             ),
+            (dict(GENBUCHI_DOC, records={"w": ["s0"]}, universe=["s0"]), "records omit state 'sa'"),
+            (
+                dict(GENBUCHI_DOC, records={"w": ["s0"], "sa": [], "x": []}, universe=["s0"]),
+                "record 'x' is not a declared state",
+            ),
         ],
         ids=[
             "alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list",
             "parity-int-state", "oba-states-string", "oba-initial-string", "skeleton-float", "skeleton-bool",
             "transitions-string", "parity-states-string", "parity-initial-string", "parity-alphabet-string",
             "parity-int-letter", "index-float", "index-bool", "priority-float", "record-string",
+            "records-omit-state", "records-undeclared-state",
         ],
     )
     def test_malformed_document_invalid(self, tmp_path, capsys, doc, message):
@@ -319,6 +325,17 @@ class TestCommands:
         assert main(["validate", str(path)]) == FALSE
         assert capsys.readouterr().out == f"{path}: {message}\n"
         assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [({"w": ["s0"]}, "records omit state 'sa'"), ({"w": ["s0"], "sa": [], "x": []}, "record 'x' is not a declared state")],
+        ids=["omit-state", "undeclared-state"],
+    )
+    def test_eps_complete_on_mismatched_records_invalid(self, tmp_path, capsys, records, message):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(dict(GENBUCHI_DOC, records=records, universe=["s0"])))
+        assert main(["eps-complete", str(path)]) == INVALID
         assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
 
     @pytest.mark.parametrize("kind", ["det-parity", "parity"])

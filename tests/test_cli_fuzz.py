@@ -1,6 +1,7 @@
 """Fuzz of the CLI error contract: a mutated document gets an exit code, never a traceback.
 
-Valid ordered-Büchi, det-parity, parity and Rabin documents are mutated
+Valid ordered-Büchi, det-parity (one of them a determinization carrying
+``records``/``universe``), parity and Rabin documents are mutated
 (values swapped for other JSON types, keys dropped, ``eps`` inserted, lists
 turned into strings) and fed to the file-reading commands through
 ``obat.cli.main``.  Every run must end in one of the documented exit codes
@@ -36,6 +37,19 @@ BASES = {
         "transitions": [["w", "a", 1, "sa"], ["w", "b", 1, "w"], ["sa", "a", 1, "sa"], ["sa", "b", 0, "w"]],
         "alphabet": ["a", "b"],
     },
+    "determinization": {
+        "kind": "det-parity",
+        "states": ["(p,q,r)", "(p,r,q)"],
+        "initial": ["(p,q,r)"],
+        "index": [-1, 5],
+        "transitions": [
+            ["(p,q,r)", "a", 2, "(p,q,r)"], ["(p,q,r)", "b", 3, "(p,r,q)"],
+            ["(p,r,q)", "a", 3, "(p,q,r)"], ["(p,r,q)", "b", 1, "(p,r,q)"],
+        ],
+        "alphabet": ["a", "b"],
+        "records": {"(p,q,r)": ["p", "q", "r"], "(p,r,q)": ["p", "r", "q"]},
+        "universe": ["r", "q", "p"],
+    },
     "parity": {
         "kind": "parity",
         "states": ["p", "q"],
@@ -52,6 +66,8 @@ COMMANDS = [
     ["member", "--prefix", "a", "--period", "a b"],
     ["dot"],
     ["convert", "rabin"],
+    ["eps-complete"],
+    ["convert", "parity", "--check-only"],
 ]
 
 JSON_VALUES = st.one_of(

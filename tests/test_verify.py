@@ -309,3 +309,20 @@ class TestEachClassDecidedOnce:
                 calls = self._counting(oracle)
                 check_local_preference(oracle, letters)
                 assert len(calls) == len(set(calls))
+
+    def test_local_preference_continuations_once_per_state(self, no_member):
+        """Each prefix state's accepted continuations are swept once, not once per (u, v)."""
+        for _, a in determinization_corpus()[:12]:
+            letters = sorted(a.alphabet)
+            us = list(finite_words(letters, 2))
+            vs = list(finite_words(letters, 2, min_len=1))
+            ws = len(list(enumerate_up_words(letters, 2, 2)))
+            for make in _flavours(a):
+                oracle = make()
+                states = {oracle.after(u + v) for u in us for v in [()] + vs}
+                calls = []
+                after = oracle.after
+                oracle.after = lambda prefix: calls.append(prefix) or after(prefix)
+                check_local_preference(oracle, letters)
+                # one lookup per u, two per (u, v), three per (u, v, v'); one sweep of ws per state
+                assert len(calls) <= len(us) * (1 + 2 * len(vs) + 3 * len(vs) ** 2) + len(states) * ws

@@ -27,7 +27,7 @@ from .automata import (
     UPWord,
     oba_validate,
 )
-from .convert import RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
+from .convert import NotEpsComplete, RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
 from .determinize import (
     apply_eps_completion,
     candidate_records,
@@ -159,6 +159,8 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
+    if len(set(states)) != len(states):
+        raise ValidationError(f"{path}: state identifiers must be pairwise distinct")
     if records is not None:
         declared = set(states)
         for name in records:
@@ -377,14 +379,15 @@ def cmd_convert_parity(args) -> int:
     kind, automaton, _ = load_document(args.file)
     if kind == "ordered-buchi":
         raise UsageError("convert parity expects a parity automaton")
-    report = check_eps_complete(automaton)
-    if not report.ok:
-        print(report)
-        return FALSE
     if args.check_only:
-        print("ε-complete")
-        return OK
-    oba, morphism = parity_to_oba(automaton)
+        report = check_eps_complete(automaton)
+        print(report)
+        return OK if report.ok else FALSE
+    try:
+        oba, morphism = parity_to_oba(automaton)  # decides ε-completeness first
+    except NotEpsComplete as e:
+        print(e.report)
+        return FALSE
     print(f"{oba.universe.size} states, {len(oba.alphabet)} tile letters")
     if args.output:
         write_doc(oba_to_doc(oba, morphism), args.output)

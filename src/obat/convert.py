@@ -125,6 +125,14 @@ class EpsReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+class NotEpsComplete(UsageError):
+    """Raised where an ε-complete automaton is required; ``report`` lists every failed axiom."""
+
+    def __init__(self, report: EpsReport) -> None:
+        super().__init__(f"automaton is not ε-complete: {report.violations[0]}")
+        self.report = report
+
+
 def _eps_table(a: ParityAutomaton) -> tuple[list[str], dict[int, list[int]]]:
     """The ε-edges as down-sets: the distinct states in declaration order (a
     state declared twice counts once) and, per ε-priority, each state's
@@ -261,7 +269,7 @@ def build_eps_tree(a: ParityAutomaton) -> EpsTree:
     states, table = _eps_table(a)
     violations = _eps_violations(a, states, table)
     if violations:
-        raise UsageError(f"automaton is not ε-complete: {violations[0]}")
+        raise NotEpsComplete(EpsReport(violations))
     rows = [table.get(c, [0] * len(states)) for c in range(1, a.index[1] + 1, 2)]
     members: dict[tuple[int, ...], set[str]] = {}
     for i, q in enumerate(states):

@@ -26,9 +26,7 @@ from .tiles import (
     Tile,
     UsageError,
     ValidationError,
-    is_buchi,
     product,  # noqa: F401  bench/spans.py traces product and tile_monoid under this module
-    successors,
     top_successor,
 )
 from .verify import tile_monoid  # noqa: F401
@@ -72,36 +70,58 @@ def initial_record(a: OrderedBuchiAutomaton) -> Record:
     return Record(tuple(sorted(a.initial, reverse=True)))
 
 
+def _step(entries: tuple[int, ...], top: tuple[int, ...], ones: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    """One deterministic step on a record's entries and a tile's staircase.
+
+    The first index reaching each top successor is preserved (the indices
+    come out increasing); the other indices, and those whose state has no
+    successor, are forgotten, and ``red`` is the first of them.  The
+    reached states are everything up to the head's top successor, since
+    the head is the record's maximum and ``top`` is monotone; those not
+    already taken follow in descending order.  Before ``red`` each entry i
+    keeps its own run, so entry i of the next record is ``top[p]`` and the
+    Büchi test ``is_buchi(t, p, top[p])`` reduces to ``p not in ones``;
+    from ``red`` on, a Büchi index could only give a priority above
+    ``2·red - 1``.  Each minimum over an empty set is the number of
+    reached states.
+    """
+    reached = top[entries[0]] + 1 if entries else 0
+    taken = set()
+    nxt = []
+    green = red = -1
+    for i, p in enumerate(entries):
+        q = top[p]
+        if q < 0 or q in taken:
+            if red < 0:
+                red = i
+        else:
+            taken.add(q)
+            nxt.append(q)
+            if red < 0 and green < 0 and p not in ones:
+                green = i
+    if len(nxt) < reached:
+        nxt += [q for q in range(reached - 1, -1, -1) if q not in taken]
+    if green >= 0:
+        return 2 * green, tuple(nxt)
+    return 2 * (red if red >= 0 else reached) - 1, tuple(nxt)
+
+
 def delta(s: Record, t: Tile) -> DetTransitionResult:
     """One deterministic step: fuse, reset and rank the run candidates.
 
-    Indices whose state has no successor are dropped from the live domain
-    before leaders are computed; they count as forgotten for the odd
-    priority.  Each minimum over an empty set defaults to |t(img(s))|.
+    Reading t, each candidate moves to its state's top successor; candidates
+    that meet are fused (the oldest index wins) and those without a
+    successor are dropped, both counting as forgotten for the odd priority.
+    The remaining reached states become fresh candidates, in descending
+    order.  The priority is even at the first old index that took a Büchi
+    transition and odd at the first forgotten one, whichever is smaller.
     """
-    best = {i: top_successor(t, q) for i, q in enumerate(s.entries)}
-    live = [i for i in range(len(s)) if best[i] is not None]
-    leader_of_state: dict[int, int] = {}
-    for i in live:
-        leader_of_state.setdefault(best[i], i)
-    preserved = sorted(set(leader_of_state.values()))  # the increasing map b
-    reached = successors(t, s.entries)
-    fresh = sorted(reached - {best[i] for i in preserved}, reverse=True)
-    nxt = Record(tuple(best[i] for i in preserved) + tuple(fresh))
-
-    default = len(reached)
-    green = default
-    for i in range(min(len(s), len(nxt))):
-        if is_buchi(t, s.entries[i], nxt.entries[i]):
-            green = i
-            break
-    forgotten = [i for i in range(len(s)) if i not in preserved]
-    red = forgotten[0] if forgotten else default
-    return DetTransitionResult(min(2 * green, 2 * red - 1), nxt)
+    priority, entries = _step(s.entries, t.top, t.ones)
+    return DetTransitionResult(priority, Record(entries))
 
 
-def record_name(r: Record, universe: StateUniverse) -> str:
-    return "(" + ",".join(universe.name(q) for q in r.entries) + ")"
+def record_name(entries: tuple[int, ...], universe: StateUniverse) -> str:
+    return "(" + ",".join(universe.name(q) for q in entries) + ")"
 
 
 def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
@@ -109,24 +129,24 @@ def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
 
     Breadth-first exploration of records from the initial record, letters in
     sorted order; record names and the record map are carried on the result.
+    Records are explored as plain entry tuples through :func:`_step`.
     """
     n = a.universe.size
     letters = sorted(a.alphabet)
-    start = initial_record(a)
-    order: list[Record] = [start]
+    steps = [(x, a.alphabet[x].top, a.alphabet[x].ones) for x in letters]
+    start = initial_record(a).entries
+    order = [start]
     name = {start: record_name(start, a.universe)}  # each record named once, when first reached
     transitions: set[tuple[str, str, int, str]] = set()
-    i = 0
-    while i < len(order):
-        rec = order[i]
-        i += 1
+    for rec in order:  # grows while it is walked: breadth-first
         src = name[rec]
-        for letter in letters:
-            priority, nxt = delta(rec, a.alphabet[letter])
-            if nxt not in name:
-                name[nxt] = record_name(nxt, a.universe)
+        for letter, top, ones in steps:
+            priority, nxt = _step(rec, top, ones)
+            dst = name.get(nxt)
+            if dst is None:
+                dst = name[nxt] = record_name(nxt, a.universe)
                 order.append(nxt)
-            transitions.add((src, letter, priority, name[nxt]))
+            transitions.add((src, letter, priority, dst))
     names = tuple(name.values())
     return ParityAutomaton(
         states=names,
@@ -135,7 +155,7 @@ def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
         transitions=frozenset(transitions),
         deterministic=True,
         alphabet=frozenset(letters),
-        records={name[r]: r.entries for r in order},
+        records={name[r]: r for r in order},
         universe=a.universe,
     )
 

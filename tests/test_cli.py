@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import obat
+from obat import OrderedBuchiAutomaton, StateUniverse
 from obat.cli import (
     FALSE,
     INVALID,
@@ -20,9 +21,10 @@ from obat.cli import (
     parse_automaton,
     write_doc,
 )
+from obat.convert import check_eps_complete, horizontal_complete_alphabet
 from obat.determinize import apply_eps_completion, determinize
 
-from zoo import eps_figure, fig_inf_b_or_bb_inf_a, inf_a
+from zoo import eps_figure, fig_inf_aa_fin_bb, fig_inf_b_or_bb_inf_a, inf_a, rabin_two_pair
 
 INF_A_DOC = {
     "kind": "ordered-buchi",
@@ -57,6 +59,15 @@ def genbuchi_file(tmp_path):
     path = tmp_path / "genbuchi.json"
     path.write_text(json.dumps(GENBUCHI_DOC))
     return str(path)
+
+
+@pytest.fixture
+def eps_decisions(monkeypatch):
+    """One entry per ε-completeness decision (a call of ``obat.convert._eps_violations``)."""
+    calls = []
+    decide = obat.convert._eps_violations
+    monkeypatch.setattr(obat.convert, "_eps_violations", lambda *a: calls.append(1) or decide(*a))
+    return calls
 
 
 class TestParsing:
@@ -184,6 +195,23 @@ class TestCommands:
         kind, oba, morphism = load_document(str(out))
         assert kind == "ordered-buchi" and oba.universe.size == 5
 
+    @pytest.mark.parametrize("argv", [["--check-only"], ["-o", "out.json"], []], ids=["check-only", "output", "stdout-only"])
+    def test_convert_parity_decides_eps_completeness_once(self, tmp_path, capsys, eps_decisions, argv):
+        src = tmp_path / "eps.json"
+        write_doc(parity_to_doc(eps_figure()), str(src))
+        argv = [str(tmp_path / x) if x.endswith(".json") else x for x in argv]
+        assert main(["convert", "parity", str(src), *argv]) == OK
+        assert len(eps_decisions) == 1
+
+    def test_convert_parity_reports_every_failed_axiom_once(self, genbuchi_file, capsys, eps_decisions):
+        expected = str(check_eps_complete(load_document(genbuchi_file)[1])) + "\n"
+        assert expected.count("\n") > 1  # several axioms fail, and each is reported
+        for extra in ([], ["--check-only"]):
+            eps_decisions.clear()
+            assert main(["convert", "parity", genbuchi_file, *extra]) == FALSE
+            assert capsys.readouterr() == (expected, "")
+            assert len(eps_decisions) == 1
+
     def test_equiv_oba_vs_determinization(self, inf_a_file, tmp_path, capsys):
         det_path = tmp_path / "det.json"
         main(["determinize", inf_a_file, "-o", str(det_path)])
@@ -310,13 +338,17 @@ class TestCommands:
                 dict(GENBUCHI_DOC, records={"w": ["s0"], "sa": [], "x": []}, universe=["s0"]),
                 "record 'x' is not a declared state",
             ),
+            (
+                {"kind": "parity", "states": ["x", "x"], "initial": ["x"], "index": [0, 1], "transitions": [["x", "a", 0, "x"]]},
+                "state identifiers must be pairwise distinct",
+            ),
         ],
         ids=[
             "alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list",
             "parity-int-state", "oba-states-string", "oba-initial-string", "skeleton-float", "skeleton-bool",
             "transitions-string", "parity-states-string", "parity-initial-string", "parity-alphabet-string",
             "parity-int-letter", "index-float", "index-bool", "priority-float", "record-string",
-            "records-omit-state", "records-undeclared-state",
+            "records-omit-state", "records-undeclared-state", "parity-repeated-state",
         ],
     )
     def test_malformed_document_invalid(self, tmp_path, capsys, doc, message):
@@ -435,3 +467,78 @@ class TestParserReuse:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env={"PYTHONPATH": src}
         )
         assert done.stdout == "0\n"
+
+
+class TestHashSeedIndependence:
+    """Equal inputs give byte-identical output whatever the interpreter's hash seed.
+
+    Each seed runs the same command lines, one after another, in a fresh
+    interpreter started with that ``PYTHONHASHSEED``, in its own directory.
+    """
+
+    DRIVER = (
+        "import json, sys\n"
+        "from obat.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    sys.stdout.flush()\n"
+        "    print(f'-- {argv[0]} exit {code}', flush=True)\n"
+    )
+
+    @staticmethod
+    def _inputs(root):
+        u = StateUniverse(tuple(f"q{i}" for i in range(4)))
+        obas = {
+            "inf-a": inf_a(),
+            "fig-aa-bb": fig_inf_aa_fin_bb(),
+            "fig-b-bb-a": fig_inf_b_or_bb_inf_a(),
+            "horizontal-4": OrderedBuchiAutomaton(u, frozenset(range(4)), horizontal_complete_alphabet(u)),
+        }
+        argv = []
+        for name, a in obas.items():
+            write_doc(oba_to_doc(a), str(root / f"{name}.json"))
+            argv += [
+                ["stats", f"{name}.json"],
+                ["determinize", f"{name}.json", "-o", f"{name}.det.json"],
+                ["stats", f"{name}.det.json"],
+                ["eps-complete", f"{name}.det.json", "-o", f"{name}.eps.json"],
+                ["stats", f"{name}.eps.json"],
+                ["convert", "parity", f"{name}.eps.json", "-o", f"{name}.oba.json"],
+            ]
+        write_doc(parity_to_doc(eps_figure()), str(root / "eps-figure.json"))
+        (root / "genbuchi.json").write_text(json.dumps(GENBUCHI_DOC))
+        spec = rabin_two_pair()
+        rabin = {"alphabet": list(spec.alphabet), "pairs": [{"G": sorted(g), "R": sorted(r)} for g, r in spec.pairs]}
+        (root / "rabin.json").write_text(json.dumps(rabin))
+        argv += [
+            ["convert", "parity", "eps-figure.json", "-o", "eps-figure.oba.json"],
+            ["convert", "parity", "genbuchi.json"],
+            ["convert", "rabin", "rabin.json", "-o", "rabin.oba.json"],
+            ["determinize", "rabin.oba.json", "-o", "rabin.det.json"],
+            ["stats", "rabin.oba.json"],
+        ]
+        return argv
+
+    def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
+        src = str(Path(obat.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("0", "5"):
+            root = tmp_path / f"seed-{seed}"
+            root.mkdir()
+            argv = self._inputs(root)
+            done = subprocess.run(
+                [sys.executable, "-c", self.DRIVER, json.dumps(argv)],
+                capture_output=True,
+                cwd=root,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert done.returncode == 0, done.stderr
+            files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+            runs.append((done.stdout, done.stderr, files))
+        (out0, err0, files0), (out5, err5, files5) = runs
+        codes = [line.rsplit(b" ", 1)[1] for line in out0.splitlines() if line.startswith(b"-- ")]
+        assert len(codes) == len(argv) and set(codes) == {b"0", b"1", b"2"}  # success, not ε-complete, usage
+        assert (out0, err0) == (out5, err5)
+        assert files0.keys() == files5.keys() and len(files0) == 20
+        for name in files0:
+            assert files0[name] == files5[name], name

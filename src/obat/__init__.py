@@ -37,6 +37,7 @@ from .determinize import (
     EMPTY_RECORD,
     Record,
     apply_eps_completion,
+    candidate_record_count,
     candidate_records,
     delta,
     determinize,

@@ -6,6 +6,10 @@ with optional ε-transitions, and their deterministic special case.  The
 membership oracles decide u·v^ω words exactly and are the ground truth every
 construction in this package is checked against; none of them goes through
 the determinization.
+
+An oracle folds each query's prefix from its start state with no memo, so a
+long-lived oracle holds nothing per distinct prefix; its only cache that
+grows with queries is keyed by period (see each class).
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ class ParityAutomaton:
         if not all(isinstance(s, str) for s in self.states):
             raise ValidationError("state identifiers must be strings")
         stateset = set(self.states)
+        if len(stateset) != len(self.states):
+            raise ValidationError("state identifiers must be pairwise distinct")
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")
         for (p, a, c, q) in self.transitions:
@@ -249,39 +255,36 @@ def _scc_partition(nodes, succ) -> dict:
     return comp
 
 
-_MISS = object()
-
-
-def _walk(memo: dict, word: tuple, start, step):
-    """Fold ``step`` over the letters of ``word`` from ``start``, memoized per word.
-
-    The memo holds one entry per queried word and nothing for the words
-    walked through on the way.  On a miss the walk resumes from the entry
-    for ``word[:-1]`` if there is one (enumerations query every shorter word
-    first, so they pay one step per word), and otherwise from ``start``.  A
-    query therefore costs O(|word|) memory and no recursion, whatever its
-    length.
-    """
-    cur = memo.get(word, _MISS)
-    if cur is not _MISS:
-        return cur
-    cur = memo.get(word[:-1], _MISS)  # () is no hit here: it missed above
-    if cur is _MISS:
-        cur, rest = start, word
-    else:
-        rest = word[-1:]
-    for x in rest:
-        cur = step(cur, x)
-    memo[word] = cur
-    return cur
-
-
 def _post(succ: dict, states: frozenset) -> frozenset:
     """Image of ``states`` under a successor map (state -> frozenset of states)."""
     out: set = set()
     for p in states:
         out.update(succ.get(p, ()))
     return frozenset(out)
+
+
+def _fold(start: frozenset, succs) -> frozenset:
+    """States reachable from ``start`` through the successor maps ``succs`` in turn.
+
+    A plain loop, so a word of any length costs no recursion and no memory
+    beyond the current state set.
+    """
+    for succ in succs:
+        start = _post(succ, start)
+    return start
+
+
+def _orbit_union(start: frozenset, image) -> frozenset:
+    """Union of ``start``, ``image(start)``, ``image(image(start))``, ... up to the first repeat."""
+    seen = {start}
+    union = set(start)
+    cur = start
+    while True:
+        cur = image(cur)
+        if cur in seen:
+            return frozenset(union)
+        seen.add(cur)
+        union |= cur
 
 
 def _require_letters(letters: frozenset, *parts: tuple[str, ...]) -> None:
@@ -298,9 +301,13 @@ class ObaOracle:
     lies, in the period-unrolled graph, in a strongly connected component
     containing a Büchi edge.  ``after(u)`` is the set of states reachable
     after u and ``accepts(state, v)`` decides the rest, so ``member`` is their
-    composition; every oracle here splits a query the same way.  Queries are
-    memoized per queried prefix and period.  A morphism is folded into the
-    letter table at construction, so its letters index the tiles directly.
+    composition; every oracle here splits a query the same way.  The prefix
+    and the period-boundary states are folded afresh on every query; the one
+    cache is ``_acc``, the accepting boundary states per period, because
+    that SCC computation over the period-unrolled graph is the costly part
+    of a query and recurs across the prefixes of an enumeration.  A morphism
+    is folded into the letter table at construction, so its letters index
+    the tiles directly.
     """
 
     def __init__(self, a: OrderedBuchiAutomaton, morphism: Morphism | None = None):
@@ -315,8 +322,6 @@ class ObaOracle:
             for x, tile in self._tile.items()
         }
         self._letters = frozenset(self._succ)
-        self._prefix_reach: dict[tuple[str, ...], frozenset[int]] = {}
-        self._boundary: dict[tuple[frozenset[int], tuple[str, ...]], frozenset[int]] = {}
         self._acc: dict[tuple[str, ...], frozenset[int]] = {}
 
     def _check_letters(self, *parts: tuple[str, ...]) -> None:
@@ -327,29 +332,10 @@ class ObaOracle:
                 _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
             _require_letters(self._letters, part)
 
-    def _step(self, states: frozenset[int], letter: str) -> frozenset[int]:
-        return _post(self._succ[letter], states)
+    def _state(self, prefix: tuple[str, ...]) -> frozenset[int]:
+        return _fold(self.automaton.initial, (self._succ[letter] for letter in prefix))
 
-    def _boundary_states(self, start: frozenset[int], period: tuple[str, ...]) -> frozenset[int]:
-        """All states seen at period boundaries: union over k of states after v^k."""
-        key = (start, period)
-        if key in self._boundary:
-            return self._boundary[key]
-        seen = {start}
-        union = set(start)
-        cur = start
-        while True:
-            for letter in period:
-                cur = self._step(cur, letter)
-            if cur in seen:
-                break
-            seen.add(cur)
-            union |= cur
-        result = frozenset(union)
-        self._boundary[key] = result
-        return result
-
-    def _accepting_boundary_states(self, period: tuple[str, ...]) -> frozenset[int]:
+    def _accepting_states(self, period: tuple[str, ...]) -> frozenset[int]:
         """States q such that (q, position 0) can cycle through a Büchi edge."""
         if period in self._acc:
             return self._acc[period]
@@ -372,11 +358,10 @@ class ObaOracle:
         self._acc[period] = result
         return result
 
-    def _state(self, prefix: tuple[str, ...]) -> frozenset[int]:
-        return _walk(self._prefix_reach, prefix, self.automaton.initial, self._step)
-
     def _decide(self, state: frozenset[int], period: tuple[str, ...]) -> bool:
-        return bool(self._boundary_states(state, period) & self._accepting_boundary_states(period))
+        maps = [self._succ[letter] for letter in period]
+        boundary = _orbit_union(state, lambda s: _fold(s, maps))
+        return bool(boundary & self._accepting_states(period))
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[int]:
         """The set of states reachable after ``prefix``."""
@@ -415,7 +400,7 @@ def residual_initial_set(a: OrderedBuchiAutomaton, word) -> frozenset[int]:
 
 
 class DpaOracle:
-    """Direct run simulation for deterministic ε-free parity automata."""
+    """Direct run simulation for deterministic ε-free parity automata; nothing is cached."""
 
     def __init__(self, d: ParityAutomaton):
         if not d.deterministic:
@@ -428,46 +413,34 @@ class DpaOracle:
             self._delta[(p, a)] = (c, q)
         (self._initial,) = d.initial
         self._letters = d.effective_alphabet
-        self._run: dict[tuple[str, ...], str | None] = {}
-        self._lasso: dict[tuple[str | None, tuple[str, ...]], bool] = {}
-
-    def _step(self, state: str | None, letter: str) -> str | None:
-        hit = self._delta.get((state, letter))  # a dead run (None) has no successor
-        return hit[1] if hit else None
 
     def _lasso_accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
-        key = (state, period)
-        if key in self._lasso:
-            return self._lasso[key]
-        result = False
-        if state is not None:
-            seen: dict[str, int] = {state: 0}
-            mins: list[int] = []
-            cur = state
-            while True:
-                lap_min = None
-                dead = False
-                for letter in period:
-                    hit = self._delta.get((cur, letter))
-                    if hit is None:
-                        dead = True
-                        break
-                    c, cur = hit
-                    lap_min = c if lap_min is None else min(lap_min, c)
-                if dead:
-                    result = False
-                    break
-                mins.append(lap_min)
-                if cur in seen:
-                    cycle_min = min(mins[seen[cur]:])
-                    result = cycle_min % 2 == 0
-                    break
-                seen[cur] = len(mins)
-        self._lasso[key] = result
-        return result
+        if state is None:
+            return False
+        seen: dict[str, int] = {state: 0}
+        mins: list[int] = []
+        cur = state
+        while True:
+            lap_min = None
+            for letter in period:
+                hit = self._delta.get((cur, letter))
+                if hit is None:
+                    return False
+                c, cur = hit
+                lap_min = c if lap_min is None else min(lap_min, c)
+            mins.append(lap_min)
+            if cur in seen:
+                return min(mins[seen[cur]:]) % 2 == 0
+            seen[cur] = len(mins)
 
     def _state(self, prefix: tuple[str, ...]) -> str | None:
-        return _walk(self._run, prefix, self._initial, self._step)
+        state = self._initial
+        for letter in prefix:
+            hit = self._delta.get((state, letter))  # a dead run (None) has no successor
+            if hit is None:
+                return None
+            state = hit[1]
+        return state
 
     def after(self, prefix: tuple[str, ...]) -> str | None:
         """The run state after ``prefix``; None once the run has died."""
@@ -540,11 +513,15 @@ class NpaOracle:
     allowed and consume at least one ε-transition each (the intertwined-word
     reading); the period must contain at least one real letter.
 
-    The prefix only decides where the period starts, so it is walked as a
-    state set through the support of each ε-closed letter.  Period matrix
-    entries collect every least-priority value achievable between two
-    states, so iterating powers of the period matrix until they repeat covers
-    every lasso shape.
+    The prefix only decides where the period starts, so it is folded afresh
+    on every query as a state set through the support of each ε-closed
+    letter.  Period matrix entries collect every least-priority value
+    achievable between two states, so iterating powers of the period matrix
+    until they repeat covers every lasso shape.  The one cache is
+    ``_period``: per queried period its value-set matrix, that matrix's
+    support and its accepting states, built from the entry of the period
+    one letter shorter when there is one, since the matrix products are the
+    costly part of a query.
     """
 
     def __init__(self, a: ParityAutomaton):
@@ -556,12 +533,10 @@ class NpaOracle:
         self._letters = a.effective_alphabet | {EPS} | set(self._rel)
         self._unit: _Matrix = {p: {p: frozenset({_TOP})} for p in a.states}
         self._eclosure = self._compute_eclosure()
+        # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
         self._letter_supp: dict[str, dict[str, frozenset[str]]] = {}
-        self._prefix_reach: dict[tuple[str, ...], frozenset[str]] = {}
-        self._word_mat: dict[tuple[str, ...], _Matrix] = {}
-        self._acc: dict[tuple[str, ...], frozenset[str]] = {}
-        self._boundary: dict[tuple[frozenset[str], tuple[str, ...]], frozenset[str]] = {}
+        self._period: dict[tuple[str, ...], tuple] = {}  # period -> (matrix, support, accepting states)
 
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
@@ -578,21 +553,27 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _step(self, states: frozenset[str], x: str) -> frozenset[str]:
-        """States after the ε-closed letter ``x``: the prefix walk needs no priorities."""
+    def _support_of(self, x: str) -> dict[str, frozenset[str]]:
+        """Successor sets of the ε-closed letter ``x``: the prefix fold needs no priorities."""
         if x not in self._letter_supp:
             self._letter_supp[x] = _support(self._letter(x))
-        return _post(self._letter_supp[x], states)
+        return self._letter_supp[x]
 
-    def _word(self, period: tuple[str, ...]) -> _Matrix:
-        """Value-set matrix of a period; acceptance needs its least priorities."""
-        return _walk(self._word_mat, period, self._unit, lambda m, x: _mat_mul(m, self._letter(x)))
+    def _entry(self, period: tuple[str, ...]):
+        """(matrix, support, accepting states) of a period.
 
-    def _accepting_states(self, period: tuple[str, ...]) -> frozenset[str]:
-        """States with an even-value self-cycle over some power of the period."""
-        if period in self._acc:
-            return self._acc[period]
-        v = self._word(period)
+        The accepting states are those with an even-value self-cycle over
+        some power of the period matrix.
+        """
+        if period in self._period:
+            return self._period[period]
+        shorter = self._period.get(period[:-1])
+        if shorter is None:
+            v, rest = self._unit, period
+        else:
+            v, rest = shorter[0], period[-1:]
+        for x in rest:
+            v = _mat_mul(v, self._letter(x))
         power = v
         seen = set()
         acc: set[str] = set()
@@ -602,30 +583,11 @@ class NpaOracle:
                 if any(val != _TOP and val % 2 == 0 for val in row.get(q, ())):
                     acc.add(q)
             power = _mat_mul(power, v)
-        result = frozenset(acc)
-        self._acc[period] = result
-        return result
-
-    def _boundary_states(self, start: frozenset[str], period: tuple[str, ...]) -> frozenset[str]:
-        key = (start, period)
-        if key in self._boundary:
-            return self._boundary[key]
-        supp = _support(self._word(period))
-        seen = {start}
-        union = set(start)
-        cur = start
-        while True:
-            cur = _post(supp, cur)
-            if cur in seen:
-                break
-            seen.add(cur)
-            union |= cur
-        result = frozenset(union)
-        self._boundary[key] = result
-        return result
+        entry = self._period[period] = (v, _support(v), frozenset(acc))
+        return entry
 
     def _state(self, prefix: tuple[str, ...]) -> frozenset[str]:
-        return _walk(self._prefix_reach, prefix, self.automaton.initial, self._step)
+        return _fold(self.automaton.initial, (self._support_of(x) for x in prefix))
 
     def _check_period(self, period: tuple[str, ...]) -> None:
         _require_letters(self._letters, period)
@@ -633,7 +595,8 @@ class NpaOracle:
             raise UsageError("period must contain a non-ε letter")
 
     def _decide(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
-        return bool(self._boundary_states(state, period) & self._accepting_states(period))
+        _, supp, acc = self._entry(period)
+        return bool(_orbit_union(state, lambda s: _post(supp, s)) & acc)
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
         """The start set of the period: the states reachable after ``prefix``."""

@@ -30,7 +30,7 @@ from .automata import (
 from .convert import NotEpsComplete, RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
 from .determinize import (
     apply_eps_completion,
-    candidate_records,
+    candidate_record_count,
     determinize,
     record_count_bound,
     reachable_residuals,
@@ -53,6 +53,8 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: parse error: arrays or objects nested too deeply") from None
     return _typed(doc, dict, "top level", path)
 
 
@@ -159,8 +161,6 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    if len(set(states)) != len(states):
-        raise ValidationError(f"{path}: state identifiers must be pairwise distinct")
     if records is not None:
         declared = set(states)
         for name in records:
@@ -435,7 +435,7 @@ def cmd_stats(args) -> int:
         print(f"|Q| = {automaton.universe.size}")
         print(f"|Γ| = {len(automaton.alphabet)}")
         print(f"R_A = {{{', '.join(automaton.universe.name(q) for q in sorted(residuals))}}}")
-        print(f"|S_R| = {len(candidate_records(automaton))}")
+        print(f"|S_R| = {candidate_record_count(automaton)}")
         print(f"record bound = {record_count_bound(automaton.universe.size)}")
     else:
         print(f"states = {len(automaton.states)}")

@@ -134,16 +134,15 @@ class NotEpsComplete(UsageError):
 
 
 def _eps_table(a: ParityAutomaton) -> tuple[list[str], dict[int, list[int]]]:
-    """The ε-edges as down-sets: the distinct states in declaration order (a
-    state declared twice counts once) and, per ε-priority, each state's
-    bitmask of the states its ε-edges reach.
+    """The ε-edges as down-sets: the states in declaration order and, per
+    ε-priority, each state's bitmask of the states its ε-edges reach.
 
     Bit i stands for ``states[i]``, so a mask's lowest set bit is its first
     state in declaration order.  At an odd level of an ε-complete automaton
     the relation is a total preorder and a state's row is exactly the set of
     states ranked at or below it.
     """
-    states = list(dict.fromkeys(a.states))
+    states = list(a.states)
     at = {q: i for i, q in enumerate(states)}
     table: dict[int, list[int]] = {}
     for (p, x, c, q) in a.transitions:

@@ -17,6 +17,7 @@ read, lives in :mod:`obat.verify` as their brute-force oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -271,7 +272,8 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
     kills the initial set (for a top-anchored initial set this is the same as
     the empty tile being generable).  Both parts come from one walk over the
     composed top-successor maps (see :func:`reachable_residuals`), so the cost
-    is O(n·|Γ|) top-successor calls plus the record enumeration.
+    is O(n·|Γ|) top-successor calls plus the record enumeration;
+    :func:`candidate_record_count` counts them without the enumeration.
     """
     heads, kills = _walk_from_initial(a)
     out = {r for r in enumerate_records(a.universe.size) if r.entries and r.entries[0] in heads}
@@ -280,15 +282,18 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
     return frozenset(out)
 
 
+def candidate_record_count(a: OrderedBuchiAutomaton) -> int:
+    """``len(candidate_records(a))`` in closed form: Σ_{h ∈ R_A} h! plus one if the initial set is killed.
+
+    A record headed by h is h + 1 long and its tail is a permutation of
+    range(h), so h! records share that head.
+    """
+    heads, kills = _walk_from_initial(a)
+    return sum(math.factorial(h) for h in heads) + kills
+
+
 def record_count_bound(n: int) -> int:
     """Count of all records over n states: 2 + sum of i! for i in [1, n-1]."""
     if n < 1:
         raise UsageError("need at least one state")
-    return 2 + sum(_factorial(i) for i in range(1, n))
-
-
-def _factorial(i: int) -> int:
-    out = 1
-    for j in range(2, i + 1):
-        out *= j
-    return out
+    return 2 + sum(math.factorial(i) for i in range(1, n))

@@ -23,6 +23,7 @@ only, which the report states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -260,7 +261,10 @@ def check_local_preference(
     report = PreferenceReport(
         bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": max_w_prefix}
     )
-    after, accepts = split_oracle(member)
+    # The oracles cache no prefixes and every prefix here is asked many
+    # times, so ``after`` is cached for the length of this call.
+    after_of, accepts = split_oracle(member)
+    after = functools.cache(after_of)
     memo: dict = {}  # (state after the prefix, period) -> verdict
 
     def m(prefix: tuple[str, ...], period: tuple[str, ...]) -> bool:

@@ -154,6 +154,17 @@ def _single_loop(priority: int) -> ParityAutomaton:
     )
 
 
+class TestParityAutomaton:
+    def test_repeated_state_rejected(self):
+        with pytest.raises(ValidationError, match="state identifiers must be pairwise distinct"):
+            ParityAutomaton(
+                states=("x", "x"),
+                initial=frozenset({"x"}),
+                index=(0, 1),
+                transitions=frozenset({("x", "a", 0, "x")}),
+            )
+
+
 class TestNpaMembership:
     def test_even_loop_accepts(self):
         assert npa_member_up(_single_loop(0), up((), "a"))

@@ -248,6 +248,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "|Q| = 2" in out and "record bound = 3" in out and "s1" in out
 
+    def test_stats_counts_records_in_closed_form(self, tmp_path, capsys):
+        # one letter, all 12 states initial: R_A = {s11}, and S_R holds the 11! records headed by it
+        names = [f"s{i}" for i in range(12)]
+        doc = {"kind": "ordered-buchi", "states": names, "initial": names, "alphabet": {"a": {"skeleton": [[11, 1, 11]]}}}
+        path = tmp_path / "twelve.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", str(path)]) == OK
+        out = capsys.readouterr().out
+        assert "R_A = {s11}" in out and "|S_R| = 39916800\n" in out
+
     def test_dot(self, inf_a_file, tmp_path):
         out = tmp_path / "graph.dot"
         assert main(["dot", inf_a_file, "-o", str(out)]) == OK
@@ -307,6 +317,14 @@ class TestCommands:
         path.write_text("{nope")
         assert main(["validate", str(path)]) == FALSE
         assert main(["member", str(path), "--period", "a"]) == INVALID
+
+    def test_deeply_nested_file_invalid(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{path}: parse error: arrays or objects nested too deeply\n"
+        assert main(["stats", str(path)]) == INVALID
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -60,14 +60,19 @@ BASES = {
     "rabin": {"alphabet": ["a", "b"], "pairs": [{"G": ["a"], "R": ["b"]}, {"G": ["b"], "R": []}]},
 }
 
+FILE = object()  # stands for the mutated document's path
+
 COMMANDS = [
-    ["validate"],
-    ["stats"],
-    ["member", "--prefix", "a", "--period", "a b"],
-    ["dot"],
-    ["convert", "rabin"],
-    ["eps-complete"],
-    ["convert", "parity", "--check-only"],
+    ["validate", FILE],
+    ["stats", FILE],
+    ["member", FILE, "--prefix", "a", "--period", "a b"],
+    ["dot", FILE],
+    ["convert", "rabin", FILE],
+    ["eps-complete", FILE],
+    ["convert", "parity", FILE, "--check-only"],
+    ["determinize", FILE],
+    ["posi-check", FILE, "--max-prefix", "1", "--max-period", "2"],
+    ["equiv", FILE, FILE, "--max-prefix", "1", "--max-period", "2"],
 ]
 
 JSON_VALUES = st.one_of(
@@ -133,7 +138,7 @@ def test_mutated_documents_get_documented_exit_codes(doc):
         with open(path, "w") as f:
             json.dump(doc, f)
         for command in COMMANDS:
-            argv = command[:2] + [path] + command[2:] if command[0] == "convert" else command[:1] + [path] + command[1:]
+            argv = [path if arg is FILE else arg for arg in command]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2, 3), (argv, doc)

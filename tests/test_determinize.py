@@ -17,6 +17,7 @@ from obat.determinize import (
     EMPTY_RECORD,
     Record,
     apply_eps_completion,
+    candidate_record_count,
     candidate_records,
     delta,
     determinize,
@@ -279,6 +280,22 @@ class TestResidualWalkAgainstMonoid:
     def test_zoo(self):
         for name, a in _zoo_automata():
             self._check(name, a)
+
+
+class TestCandidateRecordCount:
+    """The closed form Σ_{h ∈ R_A} h! + [kills] counts the enumerated budget."""
+
+    def test_determinization_corpus(self):
+        for name, a in determinization_corpus():
+            assert candidate_record_count(a) == len(candidate_records(a)), name
+
+    def test_random_automata(self):
+        rng = random.Random(20261021)
+        cases = [random_oba(rng, max_states=6) for _ in range(200)]
+        cases += [_random_walk_case(rng) for _ in range(100)]
+        assert {a.universe.size for a in cases} == {1, 2, 3, 4, 5, 6}
+        for i, a in enumerate(cases):
+            assert candidate_record_count(a) == len(candidate_records(a)), i
 
 
 class TestRecordCountBound:

@@ -137,6 +137,10 @@ def _npas():
         yield name, apply_eps_completion(determinize(a))
 
 
+def _container_sizes(oracle) -> dict[str, int]:
+    return {k: len(v) for k, v in vars(oracle).items() if isinstance(v, (dict, set, frozenset))}
+
+
 class TestWalkDifferential:
     def test_npa_start_set_matches_matrix_product(self):
         rng = random.Random(20261018)
@@ -147,14 +151,13 @@ class TestWalkDifferential:
             for _ in range(3):
                 word = rng.choices(letters + [EPS], k=rng.randint(0, 60))
                 period = (rng.choice(letters),)
-                # every prefix of the word in turn, as an enumeration queries them
                 m = {p: {p: frozenset({_TOP})} for p in a.states}
                 for k in range(len(word) + 1):
                     if k:
                         m = _mat_mul(m, npa._letter(word[k - 1]))
-                    npa(up(word[:k], period))
                     want = frozenset(q for p in a.initial for q, vals in m.get(p, {}).items() if vals)
-                    assert npa._prefix_reach[tuple(word[:k])] == want, (name, word[:k])
+                    assert npa.after(tuple(word[:k])) == want, (name, word[:k])
+                    assert npa(up(word[:k], period)) == npa.accepts(want, period), (name, word[:k])
                     checked += 1
         assert checked > 1000
 
@@ -170,13 +173,30 @@ class TestWalkDifferential:
                 assert dpa(w) == want, (name, w)
                 assert npa(intertwine(w)) == want, (name, w)
 
-    def test_memo_holds_only_queried_words(self):
+    def test_state_grows_only_with_distinct_periods(self):
+        """5,000 distinct prefixes over four periods: the per-period cache holds four entries,
+        the NPA letter tables one per letter, and the last 4,000 prefixes add nothing."""
         a = fig_inf_aa_fin_bb()
-        oracle = ObaOracle(a)
-        words = [up("ab" * 50, "a"), up("ab" * 50 + "a", "a"), up("", "b")]
-        for w in words:
-            oracle(w)
-        assert set(oracle._prefix_reach) == {w.prefix for w in words}
+        det = determinize(a)
+        rng = random.Random(20261020)
+        prefixes: set = set()
+        while len(prefixes) < 5000:
+            prefixes.add(tuple(rng.choices("ab", k=rng.randint(0, 40))))
+        periods = [("a",), ("b",), ("a", "b"), ("b", "b", "a")]
+        for oracle, grown in (
+            (ObaOracle(a), {"_acc": 4}),
+            (DpaOracle(det), {}),
+            (NpaOracle(apply_eps_completion(det)), {"_period": 4, "_letter_mat": 2, "_letter_supp": 2}),
+        ):
+            sizes = [_container_sizes(oracle)]
+            for i, u in enumerate(sorted(prefixes)):
+                oracle(up(u, periods[i % len(periods)]))
+                if i == 999:
+                    sizes.append(_container_sizes(oracle))
+            sizes.append(_container_sizes(oracle))
+            name = type(oracle).__name__
+            assert sizes[1] == sizes[2], name
+            assert {k: n for k, n in sizes[2].items() if n != sizes[0][k]} == grown, name
 
 
 class TestMorphismFold:

@@ -5,9 +5,11 @@ are listed in ascending order (the list *is* the order), tiles are given by
 their skeletons and closed on load; "parity"/"det-parity" carry transitions
 as [src, letter, priority, dst] with the letter "eps" reserved for ε.
 Serialization is deterministic (sorted letters, transitions and initial
-sets), so equal automata produce byte-identical files.
+sets), so equal automata produce byte-identical files: exactly
+``json.dumps(doc, indent=2)`` and a newline.
 
-Exit codes: 0 ok/true, 1 false/violation, 2 usage, 3 validation error.
+Exit codes: 0 ok/true, 1 false/violation, 2 usage (an unwritable output path
+too), 3 validation error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .automata import (
     EPS,
@@ -58,7 +62,7 @@ def _load_json(path: str) -> dict:
     return _typed(doc, dict, "top level", path)
 
 
-_JSON_NAMES = {dict: "object", list: "array"}
+_JSON_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
 def _typed(value, kind: type, what: str, path: str):
@@ -68,11 +72,11 @@ def _typed(value, kind: type, what: str, path: str):
     return value
 
 
-def _require_ints(values, what: str, path: str) -> None:
-    """A validation error naming ``what`` unless every value is a JSON integer (true and 1.0 are not)."""
+def _require(values, kind: type, what: str, path: str) -> None:
+    """A validation error naming ``what`` unless every value is of type ``kind`` (true and 1.0 are not ints)."""
     for x in values:
-        if type(x) is not int:
-            raise ValidationError(f"{path}: {what} must be a JSON integer, got {type(x).__name__}")
+        if type(x) is not kind:
+            raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}")
 
 
 def _universe(names: list, path: str) -> StateUniverse:
@@ -97,7 +101,7 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
             triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, f"tile {letter!r} {key}", path)]
-            _require_ints((x for t in triples for x in t), f"tile {letter!r} entry", path)
+            _require((x for t in triples for x in t), int, f"tile {letter!r} entry", path)
             try:
                 alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
@@ -127,9 +131,11 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         states = tuple(_typed(doc["states"], list, "states", path))
         initial = frozenset(_typed(doc["initial"], list, "initial", path))
         lo, hi = _typed(doc["index"], list, "index", path)
-        _require_ints((lo, hi), "index bound", path)
-        transitions = [(str(p), str(x), c, str(q)) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions", path)]
-        _require_ints((t[2] for t in transitions), "transition priority", path)
+        _require((lo, hi), int, "index bound", path)
+        transitions = [(p, x, c, q) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions", path)]
+        _require((x for t in transitions for x in (t[0], t[3])), str, "transition endpoint", path)
+        _require((t[1] for t in transitions), str, "transition letter", path)
+        _require((t[2] for t in transitions), int, "transition priority", path)
         alphabet = None
         if "alphabet" in doc:
             alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet", path))
@@ -242,10 +248,75 @@ def parity_to_doc(a: ParityAutomaton) -> dict:
     return doc
 
 
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__}  # as json.dumps writes them
+_NESTED = {dict, list}
+_BATCH = 256  # lists of scalar lists go to the C encoder this many at a time
+
+
+def _leaf(x) -> str:
+    encode = _LEAF.get(type(x))
+    return encode(x) if encode else json.dumps(x)
+
+
+def _chunks(value, indent: str):
+    """The text of ``json.dumps(value, indent=2)`` in pieces; ``indent`` is "\\n" and ``value``'s spaces.
+
+    A list of scalars is one join.  A list of nonempty scalar lists goes to
+    the C encoder a batch at a time, with the elements' indent in its item
+    separator; the boundaries between elements are then re-indented.  That
+    replace is exact because an encoded string never holds a raw newline.
+    """
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            yield "{}"
+            return
+        sep = "{"
+        for key, item in value.items():
+            yield sep + inner + encode_basestring_ascii(key) + ": "
+            yield from _chunks(item, inner)
+            sep = ","
+        yield indent + "}"
+    elif type(value) is list:
+        kinds = set(map(type, value))
+        if not value:
+            yield "[]"
+        elif kinds.isdisjoint(_NESTED):
+            encode = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+            yield "[" + inner + ("," + inner).join(map(encode or _leaf, value)) + indent + "]"
+        elif kinds == {list} and all(value) and _NESTED.isdisjoint(map(type, chain.from_iterable(value))):
+            deeper = inner + "  "
+            encode = json.JSONEncoder(separators=("," + deeper, ": "), check_circular=False).encode
+            boundary, reindented = "]," + deeper + "[", inner + "]," + inner + "[" + deeper
+            sep = "[" + inner
+            for start in range(0, len(value), _BATCH):
+                text = encode(value[start : start + _BATCH])  # [[a,<deeper>b],<deeper>[c, ...]]
+                yield sep + "[" + deeper + text[2:-2].replace(boundary, reindented) + inner + "]"
+                sep = "," + inner
+            yield indent + "]"
+        else:
+            sep = "["
+            for item in value:
+                yield sep + inner
+                yield from _chunks(item, inner)
+                sep = ","
+            yield indent + "]"
+    else:
+        yield _leaf(value)
+
+
+def _write(path: str, chunks) -> None:
+    """Write the strings ``chunks`` to ``path``; an unwritable path is a usage error."""
+    try:
+        with open(path, "w") as f:
+            f.writelines(chunks)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def write_doc(doc: dict, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    """Write exactly the bytes of ``json.dumps(doc, indent=2) + "\\n"``, streamed."""
+    _write(path, chain(_chunks(doc, "\n"), ("\n",)))
 
 
 # --- DOT export -------------------------------------------------------------
@@ -448,8 +519,7 @@ def cmd_dot(args) -> int:
     kind, automaton, morphism = load_document(args.file)
     text = oba_to_dot(automaton, morphism) if kind == "ordered-buchi" else parity_to_dot(automaton)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        _write(args.output, (text,))
     else:
         sys.stdout.write(text)
     return OK

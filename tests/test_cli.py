@@ -264,6 +264,22 @@ class TestCommands:
         text = out.read_text()
         assert text.startswith("digraph") and "orange" in text and "●" in text
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["determinize", "eps-complete", "convert rabin", "convert parity", "dot"])
+    def test_unwritable_output_usage(self, inf_a_file, tmp_path, capsys, command, target):
+        inputs = {"determinize": inf_a_file, "dot": inf_a_file}
+        inputs["eps-complete"] = str(tmp_path / "det.json")
+        write_doc(parity_to_doc(determinize(inf_a())), inputs["eps-complete"])
+        inputs["convert parity"] = str(tmp_path / "eps.json")
+        write_doc(parity_to_doc(eps_figure()), inputs["convert parity"])
+        inputs["convert rabin"] = str(tmp_path / "spec.json")
+        (tmp_path / "spec.json").write_text(json.dumps({"alphabet": ["a", "b"], "pairs": [{"G": ["a"], "R": ["b"]}]}))
+        out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+        assert main([*command.split(), inputs[command], "-o", str(out)]) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE
 
@@ -348,6 +364,11 @@ class TestCommands:
             (dict(GENBUCHI_DOC, index=[False, 1]), "index bound must be a JSON integer, got bool"),
             (dict(GENBUCHI_DOC, transitions=[["w", "a", 1.0, "w"]]), "transition priority must be a JSON integer, got float"),
             (
+                dict(GENBUCHI_DOC, transitions=[["w", "a", 1, "sa"], ["sa", "a", 1, 1]]),
+                "transition endpoint must be a JSON string, got int",
+            ),
+            (dict(GENBUCHI_DOC, transitions=[["w", None, 1, "sa"]]), "transition letter must be a JSON string, got NoneType"),
+            (
                 dict(GENBUCHI_DOC, records={"w": "s0", "sa": []}, universe=["s", "0"]),
                 "record 'w' must be a JSON array, got str",
             ),
@@ -365,7 +386,7 @@ class TestCommands:
             "alphabet-list", "morphism-list", "morphism-unhashable", "oba-int-state", "records-list",
             "parity-int-state", "oba-states-string", "oba-initial-string", "skeleton-float", "skeleton-bool",
             "transitions-string", "parity-states-string", "parity-initial-string", "parity-alphabet-string",
-            "parity-int-letter", "index-float", "index-bool", "priority-float", "record-string",
+            "parity-int-letter", "index-float", "index-bool", "priority-float", "int-endpoint", "null-letter", "record-string",
             "records-omit-state", "records-undeclared-state", "parity-repeated-state",
         ],
     )

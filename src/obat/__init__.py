@@ -46,6 +46,7 @@ from .determinize import (
     initial_record,
     reachable_residuals,
     record_count_bound,
+    residual_budget,
 )
 from .tiles import (
     NotUpwardClosed,

@@ -34,10 +34,9 @@ from .automata import (
 from .convert import NotEpsComplete, RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
 from .determinize import (
     apply_eps_completion,
-    candidate_record_count,
     determinize,
     record_count_bound,
-    reachable_residuals,
+    residual_budget,
 )
 from .tiles import NotUpwardClosed, StateUniverse, Tile, UsageError, ValidationError
 from .tiles import skeleton, tile_of, upward_closure
@@ -50,11 +49,24 @@ OK, FALSE, USAGE, INVALID = 0, 1, 2, 3
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in ``path``, read as bytes and decoded as strict UTF-8 whatever the locale.
+
+    Carriage returns are translated as text-mode reading does, so a parse
+    error keeps its line and column; a leading BOM stays a parse error.
+    """
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise ValidationError(f"{path}: {e.strerror or e}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: not valid UTF-8: {e.reason} at byte offset {e.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
@@ -65,18 +77,29 @@ def _load_json(path: str) -> dict:
 _JSON_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
-def _typed(value, kind: type, what: str, path: str):
-    """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what``."""
+def _typed(value, kind: type, what: str, path: str, *args):
+    """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what.format(*args)``."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
+        raise ValidationError(
+            f"{path}: {what.format(*args)} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}"
+        )
     return value
 
 
-def _require(values, kind: type, what: str, path: str) -> None:
-    """A validation error naming ``what`` unless every value is of type ``kind`` (true and 1.0 are not ints)."""
-    for x in values:
-        if type(x) is not kind:
-            raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}")
+def _require(columns, kind: type, what: str, path: str, *args) -> None:
+    """A validation error unless every value in ``columns`` is of type ``kind`` (true and 1.0 are not ints).
+
+    One type-set test over the columns decides.  Only when it fails are
+    the rows walked, to name the first offender in document order.
+    """
+    if {*map(type, chain.from_iterable(columns))} <= {kind}:
+        return
+    for row in zip(*columns):
+        for x in row:
+            if type(x) is not kind:
+                raise ValidationError(
+                    f"{path}: {what.format(*args)} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}"
+                )
 
 
 def _universe(names: list, path: str) -> StateUniverse:
@@ -100,8 +123,8 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
                 build, key = tile_of, "transitions"
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
-            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, f"tile {letter!r} {key}", path)]
-            _require((x for t in triples for x in t), int, f"tile {letter!r} entry", path)
+            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, "tile {!r} {}", path, letter, key)]
+            _require(tuple(zip(*triples)), int, "tile {!r} entry", path, letter)
             try:
                 alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
@@ -125,17 +148,35 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
     return a, morphism
 
 
+def _records(record_doc: dict, universe: StateUniverse, path: str) -> dict[str, tuple[int, ...]]:
+    """Record name -> state indices, each entry looked up in one position map.
+
+    A record that is not a list fails in document order; an entry that is
+    not a universe state goes through ``universe.index``, which names it.
+    """
+    position = {s: i for i, s in enumerate(universe.states)}
+    records = {}
+    for name, entries in record_doc.items():
+        entries = _typed(entries, list, "record {!r}", path, name)
+        try:
+            records[name] = tuple(map(position.__getitem__, entries))
+        except (KeyError, TypeError):
+            records[name] = tuple(map(universe.index, entries))
+    return records
+
+
 def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
     record_doc = _typed(doc["records"], dict, "records", path) if "records" in doc else None
     try:
         states = tuple(_typed(doc["states"], list, "states", path))
         initial = frozenset(_typed(doc["initial"], list, "initial", path))
         lo, hi = _typed(doc["index"], list, "index", path)
-        _require((lo, hi), int, "index bound", path)
+        _require(((lo, hi),), int, "index bound", path)
         transitions = [(p, x, c, q) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions", path)]
-        _require((x for t in transitions for x in (t[0], t[3])), str, "transition endpoint", path)
-        _require((t[1] for t in transitions), str, "transition letter", path)
-        _require((t[2] for t in transitions), int, "transition priority", path)
+        ends, letters, priorities, dsts = zip(*transitions) if transitions else ((),) * 4
+        _require((ends, dsts), str, "transition endpoint", path)
+        _require((letters,), str, "transition letter", path)
+        _require((priorities,), int, "transition priority", path)
         alphabet = None
         if "alphabet" in doc:
             alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet", path))
@@ -146,10 +187,7 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         records = universe = None
         if record_doc is not None:
             universe = _universe(_typed(doc["universe"], list, "universe", path), path)
-            records = {
-                name: tuple(universe.index(s) for s in _typed(entries, list, f"record {name!r}", path))
-                for name, entries in record_doc.items()
-            }
+            records = _records(record_doc, universe, path)
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ValidationError):
             raise
@@ -167,7 +205,7 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    if records is not None:
+    if records is not None and records.keys() != set(states):
         declared = set(states)
         for name in records:
             if name not in declared:
@@ -236,14 +274,13 @@ def parity_to_doc(a: ParityAutomaton) -> dict:
         "states": list(a.states),
         "initial": sorted(a.initial),
         "index": list(a.index),
-        "transitions": sorted([p, x, c, q] for (p, x, c, q) in a.transitions),
+        "transitions": list(map(list, sorted(a.transitions))),
     }
     if a.alphabet is not None:
         doc["alphabet"] = sorted(a.alphabet)
     if a.records is not None:
-        doc["records"] = {
-            name: [a.universe.name(q) for q in a.records[name]] for name in a.states
-        }
+        name = a.universe.states.__getitem__
+        doc["records"] = {state: list(map(name, a.records[state])) for state in a.states}
         doc["universe"] = list(a.universe.states)
     return doc
 
@@ -502,11 +539,11 @@ def cmd_posi_check(args) -> int:
 def cmd_stats(args) -> int:
     kind, automaton, _ = load_document(args.file)
     if kind == "ordered-buchi":
-        residuals = reachable_residuals(automaton)
+        residuals, budget = residual_budget(automaton)
         print(f"|Q| = {automaton.universe.size}")
         print(f"|Γ| = {len(automaton.alphabet)}")
         print(f"R_A = {{{', '.join(automaton.universe.name(q) for q in sorted(residuals))}}}")
-        print(f"|S_R| = {candidate_record_count(automaton)}")
+        print(f"|S_R| = {budget}")
         print(f"record bound = {record_count_bound(automaton.universe.size)}")
     else:
         print(f"states = {len(automaton.states)}")

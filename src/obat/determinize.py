@@ -23,7 +23,6 @@ from typing import Iterator, NamedTuple
 
 from .automata import EPS, OrderedBuchiAutomaton, ParityAutomaton
 from .tiles import (
-    StateUniverse,
     Tile,
     UsageError,
     ValidationError,
@@ -121,8 +120,9 @@ def delta(s: Record, t: Tile) -> DetTransitionResult:
     return DetTransitionResult(priority, Record(entries))
 
 
-def record_name(entries: tuple[int, ...], universe: StateUniverse) -> str:
-    return "(" + ",".join(universe.name(q) for q in entries) + ")"
+def record_name(entries: tuple[int, ...], names: tuple[str, ...]) -> str:
+    """A record's state name: its entries' names, through the universe's name tuple."""
+    return "(" + ",".join(map(names.__getitem__, entries)) + ")"
 
 
 def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
@@ -133,27 +133,28 @@ def determinize(a: OrderedBuchiAutomaton) -> ParityAutomaton:
     Records are explored as plain entry tuples through :func:`_step`.
     """
     n = a.universe.size
+    states = a.universe.states
     letters = sorted(a.alphabet)
     steps = [(x, a.alphabet[x].top, a.alphabet[x].ones) for x in letters]
     start = initial_record(a).entries
     order = [start]
-    name = {start: record_name(start, a.universe)}  # each record named once, when first reached
-    transitions: set[tuple[str, str, int, str]] = set()
+    name = {start: record_name(start, states)}  # each record named once, when first reached
+    rows: list[tuple[str, str, int, str]] = []  # one per (record, letter), so no repeats
     for rec in order:  # grows while it is walked: breadth-first
         src = name[rec]
         for letter, top, ones in steps:
             priority, nxt = _step(rec, top, ones)
             dst = name.get(nxt)
             if dst is None:
-                dst = name[nxt] = record_name(nxt, a.universe)
+                dst = name[nxt] = record_name(nxt, states)
                 order.append(nxt)
-            transitions.add((src, letter, priority, dst))
+            rows.append((src, letter, priority, dst))
     names = tuple(name.values())
     return ParityAutomaton(
         states=names,
         initial=frozenset({names[0]}),
         index=(-1, 2 * n - 1),
-        transitions=frozenset(transitions),
+        transitions=frozenset(rows),
         deterministic=True,
         alphabet=frozenset(letters),
         records={name[r]: r for r in order},
@@ -282,14 +283,19 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
     return frozenset(out)
 
 
+def residual_budget(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], int]:
+    """R_A and |S_R| from one walk: ``reachable_residuals(a)`` and ``candidate_record_count(a)``."""
+    heads, kills = _walk_from_initial(a)
+    return heads, sum(math.factorial(h) for h in heads) + kills
+
+
 def candidate_record_count(a: OrderedBuchiAutomaton) -> int:
     """``len(candidate_records(a))`` in closed form: Σ_{h ∈ R_A} h! plus one if the initial set is killed.
 
     A record headed by h is h + 1 long and its tail is a permutation of
     range(h), so h! records share that head.
     """
-    heads, kills = _walk_from_initial(a)
-    return sum(math.factorial(h) for h in heads) + kills
+    return residual_budget(a)[1]
 
 
 def record_count_bound(n: int) -> int:

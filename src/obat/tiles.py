@@ -20,7 +20,6 @@ transition set and the one closure check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,22 +139,31 @@ def upward_closure(universe: StateUniverse, generators) -> Tile:
 
     p reaches every state up to the greatest target of a generator whose
     source is at most p (a running maximum), and a corner keeps its Büchi
-    transition only when that transition is itself a generator.  A generator
-    outside the universe or with a priority other than 0 or 1 is a
-    :class:`ValidationError`.
+    transition only when that transition is itself a generator.  One loop
+    over the generators checks each and keeps, per source, its best target
+    coded as ``2·q + 1`` for a Büchi generator and ``2·q`` otherwise; one
+    pass over the states then takes the running maximum and the corners.  A
+    generator outside the universe or with a priority other than 0 or 1 is a
+    :class:`ValidationError`, the first such in iteration order.
     """
     n = universe.size
     best = [-1] * n
-    buchi = set()
     for (p, c, q) in generators:
         if not (0 <= p < n and 0 <= q < n and c in (0, 1)):
             raise ValidationError(f"transition {(p, c, q)} out of range for |Q|={n} and priorities 0, 1")
-        best[p] = max(best[p], q)
-        if c == 0:
-            buchi.add((p, q))
-    top = tuple(itertools.accumulate(best, max))
-    ones = frozenset(p for p in _corners(top) if (p, top[p]) not in buchi)
-    return Tile(universe, top, ones)
+        code = 2 * q + (c == 0)
+        if code > best[p]:
+            best[p] = code
+    top = []
+    ones = []
+    reach = -1
+    for p, code in enumerate(best):
+        if code >> 1 > reach:  # a corner: the first source with this top
+            reach = code >> 1
+            if not code & 1:
+                ones.append(p)
+        top.append(reach)
+    return Tile(universe, tuple(top), frozenset(ones))
 
 
 def tile_of(universe: StateUniverse, transitions) -> Tile:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import subprocess
 import sys
@@ -258,6 +259,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "R_A = {s11}" in out and "|S_R| = 39916800\n" in out
 
+    def test_stats_walks_the_top_maps_once(self, tmp_path, capsys, monkeypatch):
+        a = fig_inf_b_or_bb_inf_a()
+        path = tmp_path / "fig.json"
+        write_doc(oba_to_doc(a), str(path))
+        walks = []
+        module = importlib.import_module("obat.determinize")  # the package's `determinize` is the function
+        walk = module._walk_from_initial
+        monkeypatch.setattr(module, "_walk_from_initial", lambda b: walks.append(1) or walk(b))
+        assert main(["stats", str(path)]) == OK
+        assert len(walks) == 1
+        heads = sorted(obat.reachable_residuals(a))
+        assert capsys.readouterr().out == (
+            f"|Q| = {a.universe.size}\n|Γ| = {len(a.alphabet)}\n"
+            f"R_A = {{{', '.join(a.universe.name(q) for q in heads)}}}\n"
+            f"|S_R| = {obat.candidate_record_count(a)}\nrecord bound = {obat.record_count_bound(a.universe.size)}\n"
+        )
+
     def test_dot(self, inf_a_file, tmp_path):
         out = tmp_path / "graph.dot"
         assert main(["dot", inf_a_file, "-o", str(out)]) == OK
@@ -343,6 +361,53 @@ class TestCommands:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"kind": \xff}', "invalid start byte at byte offset 9"),
+            (b'{"kind": "ordered-buchi\xc3', "unexpected end of data at byte offset 23"),
+            (b'{"states": ["s\xc3(", "t"]}', "invalid continuation byte at byte offset 14"),
+            (b'{"s": "\xed\xa0\x80"}', "invalid continuation byte at byte offset 7"),
+        ],
+        ids=["stray-byte", "truncated-sequence", "bad-continuation", "encoded-surrogate"],
+    )
+    def test_undecodable_document_invalid(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{path}: not valid UTF-8: {message}\n"
+        for argv in (["stats", str(path)], ["member", str(path), "--period", "a"], ["convert", "rabin", str(path)]):
+            assert main(argv) == INVALID
+            assert capsys.readouterr().err == f"validation error: {path}: not valid UTF-8: {message}\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'\xef\xbb\xbf{"kind": "parity"}', "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            (b'{\r"kind":\r\rx}', "line 4, column 1: Expecting value"),
+            (b'{\r\n"kind":\r\n\r\nx}', "line 4, column 1: Expecting value"),
+            (b'{"kind": "ordered-buchi",\x00}', "line 1, column 26: Expecting property name enclosed in double quotes"),
+        ],
+        ids=["bom", "carriage-returns", "crlf", "nul"],
+    )
+    def test_parse_error_positions_as_text_mode_reads_them(self, tmp_path, capsys, data, message):
+        """Carriage returns end lines, as in text-mode reading, and a BOM is not skipped."""
+        path = tmp_path / "bytes.json"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{path}: parse error at {message}\n"
+
+    def test_reading_does_not_depend_on_locale(self, tmp_path):
+        """A UTF-8 document reads the same under an ASCII locale."""
+        path = tmp_path / "names.json"
+        path.write_bytes(json.dumps(dict(INF_A_DOC, states=["é0", "é1"], initial=["é0", "é1"]), ensure_ascii=False).encode())
+        src = str(Path(obat.__file__).resolve().parents[1])
+        env = {"PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        code = "import locale, sys\nfrom obat.cli import main\nprint(locale.getpreferredencoding())\nsys.exit(main(sys.argv[1:]))\n"
+        done = subprocess.run([sys.executable, "-c", code, "validate", str(path)], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[1:] == ["valid"]
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             (dict(INF_A_DOC, alphabet=[]), "alphabet must be a JSON object, got list"),
@@ -397,6 +462,64 @@ class TestCommands:
         assert capsys.readouterr().out == f"{path}: {message}\n"
         assert main(["stats", str(path)]) == INVALID
         assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                dict(INF_A_DOC, alphabet={"a": {"skeleton": [[0, 0, 2], [1, 0, 3]]}}),
+                "tile 'a': transition (1, 0, 3) out of range for |Q|=2 and priorities 0, 1",
+            ),
+            (
+                dict(INF_A_DOC, alphabet={"a": {"skeleton": [[1, 2, 0], [3, 0, 0]]}}),
+                "tile 'a': transition (3, 0, 0) out of range for |Q|=2 and priorities 0, 1",
+            ),
+            (dict(INF_A_DOC, alphabet={"a": {"skeleton": [[0, 1.5, 0], [1, 1, "x"]]}}), "tile 'a' entry must be a JSON integer, got float"),
+            (dict(INF_A_DOC, alphabet={"a": {"skeleton": [[0, 1, "x"], [True, 1, 0]]}}), "tile 'a' entry must be a JSON integer, got str"),
+            (
+                dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + [["w", "c", 1, 3], [None, "d", 0, "w"]]),
+                "transition endpoint must be a JSON string, got int",
+            ),
+            (
+                dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + [[None, "d", 0, "w"], ["w", "c", 1, 3]]),
+                "transition endpoint must be a JSON string, got NoneType",
+            ),
+            (
+                dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + [["x", "c", 1, "y"]]),
+                "transition ('x', 'c', 1, 'y') uses undeclared state",
+            ),
+            (dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + [["w", "a", 0, "sa"]]), "nondeterministic on ('w', 'a')"),
+        ],
+        ids=[
+            "two-out-of-range-rows", "out-of-range-priority-and-row", "two-non-integer-entries", "str-before-bool",
+            "two-non-string-endpoints", "null-before-int", "two-undeclared-states", "repeated-state-letter",
+        ],
+    )
+    def test_two_faults_name_the_first_offender(self, tmp_path, capsys, doc, message):
+        """Skeleton rows are checked in the set's order, entry types in document order."""
+        path = tmp_path / "two-faults.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == f"{path}: {message}\n"
+        assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["x", "c", 1, "w"], ["w", "d", 1, "y"]], "transition {} uses undeclared state"),
+            ([["w", "c", 2, "w"], ["sa", "d", -1, "w"]], "priority {0[2]} of transition {0} outside index [0,1]"),
+        ],
+        ids=["two-undeclared-states", "two-priorities-outside-index"],
+    )
+    def test_two_transition_faults_name_the_first_in_set_order(self, tmp_path, capsys, rows, message):
+        """String rows iterate in hash order, so the offender named is the first of the transition set."""
+        transitions = [tuple(t) for t in GENBUCHI_DOC["transitions"] + rows]
+        first = next(t for t in frozenset(transitions) if list(t) in rows)
+        path = tmp_path / "two-faults.json"
+        path.write_text(json.dumps(dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + rows)))
+        assert main(["stats", str(path)]) == INVALID
+        assert capsys.readouterr().err == f"validation error: {path}: {message.format(first)}\n"
 
     @pytest.mark.parametrize(
         "records, message",

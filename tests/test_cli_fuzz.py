@@ -4,9 +4,11 @@ Valid ordered-Büchi, det-parity (one of them a determinization carrying
 ``records``/``universe``), parity and Rabin documents are mutated
 (values swapped for other JSON types, keys dropped, ``eps`` inserted, lists
 turned into strings) and fed to the file-reading commands through
-``obat.cli.main``.  Every run must end in one of the documented exit codes
-0-3; an exception escaping ``main`` fails the test.  The examples are
-derandomized, so the run is the same each time.
+``obat.cli.main``.  The same documents are also mutated as bytes: invalid
+UTF-8, truncation, a byte-order mark, NUL bytes and stray bytes.  Every run
+must end in one of the documented exit codes 0-3; an exception escaping
+``main`` fails the test.  The examples are derandomized, so the run is the
+same each time.
 """
 
 import contextlib
@@ -142,3 +144,47 @@ def test_mutated_documents_get_documented_exit_codes(doc):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (0, 1, 2, 3), (argv, doc)
+
+
+# byte strings that no UTF-8 decoder accepts where they stand, plus valid ones that JSON rejects
+BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80", b"\xc0\xaf"]
+ODD_BYTES = [b"\x00", b"\xef\xbb\xbf", b"\r", b"\xc3\xa9", b"\\", b'"', b"]", b"{"]
+
+
+@st.composite
+def mutated_bytes(draw):
+    doc = BASES[draw(st.sampled_from(sorted(BASES)))]
+    data = json.dumps(doc, indent=draw(st.sampled_from([None, 2])), ensure_ascii=False).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["insert", "replace", "truncate", "bom"]))
+        at = draw(st.integers(0, len(data)))
+        if op == "truncate":
+            data = data[:at]
+        elif op == "bom":
+            data = b"\xef\xbb\xbf" + data
+        else:
+            piece = draw(st.sampled_from(BAD_BYTES + ODD_BYTES))
+            data = data[:at] + piece + data[at + (op == "replace") :]
+    return data
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_bytes())
+def test_mutated_bytes_get_documented_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        undecodable = False
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            undecodable = True
+        for command in COMMANDS:
+            argv = [path if arg is FILE else arg for arg in command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, data)
+            if undecodable and command[0] != "validate":
+                assert code == 3 and "not valid UTF-8" in err.getvalue(), (argv, data)

@@ -46,7 +46,6 @@ from .determinize import (
     initial_record,
     reachable_residuals,
     record_count_bound,
-    residual_budget,
 )
 from .tiles import (
     NotUpwardClosed,

@@ -15,7 +15,6 @@ grows with queries is keyed by period (see each class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .tiles import (
     StateUniverse,
@@ -119,47 +118,33 @@ class ParityAutomaton:
     universe: StateUniverse | None = None
 
     def __post_init__(self) -> None:
-        """Check the states, then each transition column at once.
-
-        Endpoints, priorities and determinism are each one set or min/max
-        test over a column; only when one fails does the per-transition loop
-        run, so the error names the first offender in iteration order.
-        """
         lo, hi = self.index
         if lo > hi:
             raise ValidationError(f"empty priority index [{lo},{hi}]")
-        if not all(map(isinstance, self.states, repeat(str))):
+        if not all(isinstance(s, str) for s in self.states):
             raise ValidationError("state identifiers must be strings")
         stateset = set(self.states)
         if len(stateset) != len(self.states):
             raise ValidationError("state identifiers must be pairwise distinct")
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")
-        srcs, letters, priorities, dsts = zip(*self.transitions) if self.transitions else ((),) * 4
-        if not (
-            stateset.issuperset(srcs)
-            and stateset.issuperset(dsts)
-            and lo <= min(priorities, default=lo)
-            and max(priorities, default=hi) <= hi
-        ):
-            for (p, a, c, q) in self.transitions:
-                if p not in stateset or q not in stateset:
-                    raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
-                if not lo <= c <= hi:
-                    raise ValidationError(
-                        f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
-                    )
+        for (p, a, c, q) in self.transitions:
+            if p not in stateset or q not in stateset:
+                raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
+            if not lo <= c <= hi:
+                raise ValidationError(
+                    f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
+                )
         if self.deterministic:
             if len(self.initial) != 1:
                 raise ValidationError("deterministic automaton needs exactly one initial state")
-            if len(set(zip(srcs, letters))) < len(letters):  # a repeat, unless only ε-transitions share one
-                seen: set[tuple[str, str]] = set()
-                for (p, a, _, _) in self.transitions:
-                    if a == EPS:
-                        continue
-                    if (p, a) in seen:
-                        raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
-                    seen.add((p, a))
+            seen: set[tuple[str, str]] = set()
+            for (p, a, _, _) in self.transitions:
+                if a == EPS:
+                    continue
+                if (p, a) in seen:
+                    raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
+                seen.add((p, a))
 
     @property
     def effective_alphabet(self) -> frozenset[str]:

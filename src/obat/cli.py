@@ -77,16 +77,14 @@ def _load_json(path: str) -> dict:
 _JSON_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
-def _typed(value, kind: type, what: str, path: str, *args):
-    """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what.format(*args)``."""
+def _typed(value, kind: type, what: str, path: str):
+    """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what``."""
     if not isinstance(value, kind):
-        raise ValidationError(
-            f"{path}: {what.format(*args)} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}"
-        )
+        raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
-def _require(columns, kind: type, what: str, path: str, *args) -> None:
+def _require(columns, kind: type, what: str, path: str) -> None:
     """A validation error unless every value in ``columns`` is of type ``kind`` (true and 1.0 are not ints).
 
     One type-set test over the columns decides.  Only when it fails are
@@ -97,9 +95,7 @@ def _require(columns, kind: type, what: str, path: str, *args) -> None:
     for row in zip(*columns):
         for x in row:
             if type(x) is not kind:
-                raise ValidationError(
-                    f"{path}: {what.format(*args)} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}"
-                )
+                raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}")
 
 
 def _universe(names: list, path: str) -> StateUniverse:
@@ -123,8 +119,8 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
                 build, key = tile_of, "transitions"
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
-            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, "tile {!r} {}", path, letter, key)]
-            _require(tuple(zip(*triples)), int, "tile {!r} entry", path, letter)
+            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, f"tile {letter!r} {key}", path)]
+            _require(tuple(zip(*triples)), int, f"tile {letter!r} entry", path)
             try:
                 alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
@@ -146,23 +142,6 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
             if not isinstance(name, str) or name not in alphabet:
                 raise ValidationError(f"{path}: morphism maps {letter!r} to unknown tile {name!r}")
     return a, morphism
-
-
-def _records(record_doc: dict, universe: StateUniverse, path: str) -> dict[str, tuple[int, ...]]:
-    """Record name -> state indices, each entry looked up in one position map.
-
-    A record that is not a list fails in document order; an entry that is
-    not a universe state goes through ``universe.index``, which names it.
-    """
-    position = {s: i for i, s in enumerate(universe.states)}
-    records = {}
-    for name, entries in record_doc.items():
-        entries = _typed(entries, list, "record {!r}", path, name)
-        try:
-            records[name] = tuple(map(position.__getitem__, entries))
-        except (KeyError, TypeError):
-            records[name] = tuple(map(universe.index, entries))
-    return records
 
 
 def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
@@ -187,7 +166,10 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         records = universe = None
         if record_doc is not None:
             universe = _universe(_typed(doc["universe"], list, "universe", path), path)
-            records = _records(record_doc, universe, path)
+            records = {
+                name: tuple(universe.index(s) for s in _typed(entries, list, f"record {name!r}", path))
+                for name, entries in record_doc.items()
+            }
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ValidationError):
             raise
@@ -205,7 +187,7 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    if records is not None and records.keys() != set(states):
+    if records is not None:
         declared = set(states)
         for name in records:
             if name not in declared:
@@ -343,9 +325,9 @@ def _chunks(value, indent: str):
 
 
 def _write(path: str, chunks) -> None:
-    """Write the strings ``chunks`` to ``path``; an unwritable path is a usage error."""
+    """Write the strings ``chunks`` to ``path`` as UTF-8; an unwritable path is a usage error."""
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.writelines(chunks)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
@@ -668,6 +650,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return INVALID
+    except UnicodeEncodeError as e:  # text the standard output's encoding cannot hold, such as stats' Γ
+        print(f"usage error: cannot write {e.object[e.start:e.end]!r} as {e.encoding}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -396,16 +396,34 @@ class TestCommands:
         assert main(["validate", str(path)]) == FALSE
         assert capsys.readouterr().out == f"{path}: parse error at {message}\n"
 
-    def test_reading_does_not_depend_on_locale(self, tmp_path):
-        """A UTF-8 document reads the same under an ASCII locale."""
-        path = tmp_path / "names.json"
-        path.write_bytes(json.dumps(dict(INF_A_DOC, states=["é0", "é1"], initial=["é0", "é1"]), ensure_ascii=False).encode())
+    def _run_ascii_locale(self, tmp_path, *argv):
+        """Run the CLI in a subprocess whose locale encoding is ASCII."""
         src = str(Path(obat.__file__).resolve().parents[1])
         env = {"PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-        code = "import locale, sys\nfrom obat.cli import main\nprint(locale.getpreferredencoding())\nsys.exit(main(sys.argv[1:]))\n"
-        done = subprocess.run([sys.executable, "-c", code, "validate", str(path)], capture_output=True, text=True, env=env)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[1:] == ["valid"]
+        code = "import sys\nfrom obat.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+
+    def test_reading_and_writing_do_not_depend_on_locale(self, tmp_path):
+        """A UTF-8 document reads, and its DOT file is written, the same under an ASCII locale."""
+        path = tmp_path / "names.json"
+        path.write_bytes(json.dumps(dict(INF_A_DOC, states=["é0", "é1"], initial=["é0", "é1"]), ensure_ascii=False).encode())
+        done = self._run_ascii_locale(tmp_path, "validate", str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"valid\n", b"")
+        ascii_dot, here_dot = tmp_path / "ascii.dot", tmp_path / "here.dot"
+        done = self._run_ascii_locale(tmp_path, "dot", str(path), "-o", str(ascii_dot))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert main(["dot", str(path), "-o", str(here_dot)]) == OK
+        assert ascii_dot.read_bytes() == here_dot.read_bytes()
+        assert "é0".encode() in ascii_dot.read_bytes()
+
+    def test_unencodable_standard_output_is_a_usage_error(self, tmp_path):
+        """stats prints |Γ|, which ASCII cannot hold: one stderr line and exit 2, no traceback."""
+        path = tmp_path / "inf_a.json"
+        path.write_text(json.dumps(INF_A_DOC))
+        done = self._run_ascii_locale(tmp_path, "stats", str(path))
+        assert done.returncode == USAGE
+        assert done.stdout == b"|Q| = 2\n"
+        assert done.stderr == b"usage error: cannot write '\\u0393' as ascii\n"
 
     @pytest.mark.parametrize(
         "doc, message",

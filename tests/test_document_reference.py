@@ -5,8 +5,10 @@ unpack, a per-entry type loop and eager messages; ``upward_closure`` with a
 running maximum from ``itertools.accumulate`` and a separate corner scan;
 ``_parse_parity`` with per-column type loops and ``universe.index`` per
 record entry; the ``ParityAutomaton`` checks one transition at a time; and
-``parity_to_doc`` sorting list rows.  The library checks each column at once
-and walks rows only to name an offender.  Both must build equal automata and
+``parity_to_doc`` sorting list rows.  The library checks entry and column
+types with one type-set test and walks rows only to name an offender; its
+``ParityAutomaton`` checks are still per transition, and the reference pins
+them for any later bulk version.  Both must build equal automata and
 equal documents on the zoo, the 54-automaton corpus, seeded random automata,
 the horizontal-complete alphabets and their determinizations and
 ε-completions, and must raise the same exception type and message on every
@@ -520,6 +522,14 @@ def test_parity_automaton_same_checks():
             deterministic=rng.random() < 0.7,
         )
         _same(lambda: ParityAutomaton(**fields), lambda: ref_parity(**fields))
+    mixed = dict(  # one transition with a fifth element among four-element ones
+        states=states,
+        initial=frozenset({"x"}),
+        index=(0, 1),
+        transitions=frozenset({("x", "a", 0, "y"), ("y", "a", 1, "z", "extra")}),
+        deterministic=False,
+    )
+    assert _same(lambda: ParityAutomaton(**mixed), lambda: ref_parity(**mixed))[:2] == ("raised", ValueError)
 
 
 def test_malformed_corpus_covers_each_check():

@@ -14,9 +14,6 @@ from .automata import (
     OrderedBuchiAutomaton,
     ParityAutomaton,
     UPWord,
-    dpa_member_up,
-    npa_member_up,
-    oba_member_up,
     oba_validate,
     omega_power_accepts,
     residual_initial_set,
@@ -37,7 +34,6 @@ from .determinize import (
     EMPTY_RECORD,
     Record,
     apply_eps_completion,
-    candidate_record_count,
     candidate_records,
     delta,
     determinize,

@@ -22,7 +22,6 @@ from .tiles import (
     UsageError,
     ValidationError,
     is_buchi,
-    successors,
 )
 
 EPS = "eps"
@@ -71,9 +70,6 @@ class Morphism:
             return tuple(tuple(m[x] for x in part) for part in parts)
         except KeyError as e:
             raise UsageError(f"letter {e.args[0]!r} not in morphism domain") from None
-
-    def apply(self, w: UPWord) -> UPWord:
-        return UPWord(*self.rename(w.prefix, w.period))
 
 
 @dataclass
@@ -129,12 +125,14 @@ class ParityAutomaton:
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")
         for (p, a, c, q) in self.transitions:
-            if p not in stateset or q not in stateset:
-                raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
-            if not lo <= c <= hi:
-                raise ValidationError(
-                    f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
-                )
+            if p not in stateset or q not in stateset or not lo <= c <= hi:
+                for (p, a, c, q) in sorted(self.transitions):  # the least offender, whatever the hash seed
+                    if p not in stateset or q not in stateset:
+                        raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
+                    if not lo <= c <= hi:
+                        raise ValidationError(
+                            f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
+                        )
         if self.deterministic:
             if len(self.initial) != 1:
                 raise ValidationError("deterministic automaton needs exactly one initial state")
@@ -142,7 +140,9 @@ class ParityAutomaton:
             for (p, a, _, _) in self.transitions:
                 if a == EPS:
                     continue
-                if (p, a) in seen:
+                if (p, a) in seen:  # name the least repeated pair, whatever the hash seed
+                    pairs = sorted((p, a) for (p, a, _, _) in self.transitions if a != EPS)
+                    p, a = next(x for x, y in zip(pairs, pairs[1:]) if x == y)
                     raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
                 seen.add((p, a))
 
@@ -287,6 +287,18 @@ def _orbit_union(start: frozenset, image) -> frozenset:
         union |= cur
 
 
+def _walk(m: int, tops) -> int:
+    """Greatest state reached from {0..m} through the ``top`` maps ``tops`` in turn; -1 for none.
+
+    A tile's successor set of {0..m} is {0..top[m]}, since ``top`` is monotone.
+    """
+    for top in tops:
+        if m < 0:
+            return -1
+        m = top[m]
+    return m
+
+
 def _require_letters(letters: frozenset, *parts: tuple[str, ...]) -> None:
     """Raise a usage error naming the first letter of ``parts`` outside ``letters``."""
     for part in parts:
@@ -297,32 +309,31 @@ def _require_letters(letters: frozenset, *parts: tuple[str, ...]) -> None:
 class ObaOracle:
     """Exact UP-word membership for an ordered Büchi automaton.
 
-    A word u·v^ω is accepted iff some state reachable at a period boundary
-    lies, in the period-unrolled graph, in a strongly connected component
-    containing a Büchi edge.  ``after(u)`` is the set of states reachable
-    after u and ``accepts(state, v)`` decides the rest, so ``member`` is their
-    composition; every oracle here splits a query the same way.  The prefix
-    and the period-boundary states are folded afresh on every query; the one
-    cache is ``_acc``, the accepting boundary states per period, because
-    that SCC computation over the period-unrolled graph is the costly part
-    of a query and recurs across the prefixes of an enumeration.  A morphism
-    is folded into the letter table at construction, so its letters index
-    the tiles directly.
+    The states reachable after any word are downward-closed, {0..m}, so a
+    state set is held as its greatest state m (-1 for none): ``after(u)``
+    walks max(I) through the letters' ``top`` maps and ``accepts(m, v)``
+    decides the rest, so ``member`` is their composition; every oracle here
+    splits a query the same way.  u·v^ω is accepted iff some period-boundary
+    state, one of {0..b} for b the greatest state on the orbit of m under
+    v's composed top map, lies in a strongly connected component of the
+    period-unrolled graph that contains a Büchi edge.  The one cache is
+    ``_acc``, the least such state per period, because that SCC search is
+    the costly part of a query and recurs across the prefixes of an
+    enumeration.  A morphism is folded into the letter table at
+    construction, so its letters index the tiles directly.
     """
 
     def __init__(self, a: OrderedBuchiAutomaton, morphism: Morphism | None = None):
+        if a.initial != frozenset(range(len(a.initial))) or len(a.initial) > a.universe.size:
+            raise UsageError("ObaOracle needs an initial set {0..k-1} inside the universe")
         self.automaton = a
         self.morphism = morphism
         names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
         # query letter -> tile; a letter mapped to a missing tile is left out
         self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
-        # query letter -> state -> successors: p reaches the states up to top[p]
-        self._succ = {
-            x: {p: frozenset(range(q + 1)) for p, q in enumerate(tile.top) if q >= 0}
-            for x, tile in self._tile.items()
-        }
-        self._letters = frozenset(self._succ)
-        self._acc: dict[tuple[str, ...], frozenset[int]] = {}
+        self._top = {x: tile.top for x, tile in self._tile.items()}
+        self._letters = frozenset(self._top)
+        self._acc: dict[tuple[str, ...], int] = {}
 
     def _check_letters(self, *parts: tuple[str, ...]) -> None:
         for part in parts:
@@ -332,11 +343,11 @@ class ObaOracle:
                 _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
             _require_letters(self._letters, part)
 
-    def _state(self, prefix: tuple[str, ...]) -> frozenset[int]:
-        return _fold(self.automaton.initial, (self._succ[letter] for letter in prefix))
+    def _state(self, prefix: tuple[str, ...]) -> int:
+        return _walk(len(self.automaton.initial) - 1, map(self._top.__getitem__, prefix))
 
-    def _accepting_states(self, period: tuple[str, ...]) -> frozenset[int]:
-        """States q such that (q, position 0) can cycle through a Büchi edge."""
+    def _least_accepting(self, period: tuple[str, ...]) -> int:
+        """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none."""
         if period in self._acc:
             return self._acc[period]
         a = self.automaton
@@ -354,22 +365,26 @@ class ObaOracle:
         nodes = [(q, i) for q in range(a.universe.size) for i in range(length)]
         comp = _scc_partition(nodes, succ)
         good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
-        result = frozenset(q for q in range(a.universe.size) if comp[(q, 0)] in good)
+        result = next((q for q in range(a.universe.size) if comp[(q, 0)] in good), a.universe.size)
         self._acc[period] = result
         return result
 
-    def _decide(self, state: frozenset[int], period: tuple[str, ...]) -> bool:
-        maps = [self._succ[letter] for letter in period]
-        boundary = _orbit_union(state, lambda s: _fold(s, maps))
-        return bool(boundary & self._accepting_states(period))
+    def _decide(self, state: int, period: tuple[str, ...]) -> bool:
+        # The period's composed top map f is monotone, so the orbit of m
+        # descends from m when f(m) <= m and otherwise climbs to a fixpoint.
+        tops = [self._top[letter] for letter in period]
+        boundary = state
+        while (nxt := _walk(boundary, tops)) > boundary:
+            boundary = nxt
+        return boundary >= self._least_accepting(period)
 
-    def after(self, prefix: tuple[str, ...]) -> frozenset[int]:
-        """The set of states reachable after ``prefix``."""
+    def after(self, prefix: tuple[str, ...]) -> int:
+        """The greatest state reachable after ``prefix``, all below it reachable too; -1 for none."""
         self._check_letters(prefix)
         return self._state(prefix)
 
-    def accepts(self, state: frozenset[int], period: tuple[str, ...]) -> bool:
-        """Whether period^ω is accepted from the state set ``state``."""
+    def accepts(self, state: int, period: tuple[str, ...]) -> bool:
+        """Whether period^ω is accepted from the states up to ``state``."""
         self._check_letters(period)
         return self._decide(state, period)
 
@@ -381,11 +396,6 @@ class ObaOracle:
     __call__ = member
 
 
-def oba_member_up(a: OrderedBuchiAutomaton, w: UPWord) -> bool:
-    """One-shot UP-word membership; build an :class:`ObaOracle` for bulk queries."""
-    return ObaOracle(a).member(w)
-
-
 def omega_power_accepts(a: OrderedBuchiAutomaton, t: Tile) -> bool:
     """t^ω is accepted iff some initial state carries a horizontal Büchi transition."""
     return any(is_buchi(t, q, q) for q in a.initial)
@@ -393,10 +403,8 @@ def omega_power_accepts(a: OrderedBuchiAutomaton, t: Tile) -> bool:
 
 def residual_initial_set(a: OrderedBuchiAutomaton, word) -> frozenset[int]:
     """Initial set of the residual after a finite word: reachable set, downward-closed."""
-    s = a.initial
-    for letter in word:
-        s = successors(a.tile(letter), s)
-    return s
+    tops = [a.tile(letter).top for letter in word]
+    return frozenset(range(_walk(max(a.initial, default=-1), tops) + 1))
 
 
 class DpaOracle:
@@ -458,10 +466,6 @@ class DpaOracle:
         return self._lasso_accepts(self._state(w.prefix), w.period)
 
     __call__ = member
-
-
-def dpa_member_up(d: ParityAutomaton, w: UPWord) -> bool:
-    return DpaOracle(d).member(w)
 
 
 # --- nondeterministic parity with ε: value-set matrix semantics ---------
@@ -615,8 +619,3 @@ class NpaOracle:
         return self._decide(self._state(w.prefix), w.period)
 
     __call__ = member
-
-
-def npa_member_up(a: ParityAutomaton, w: UPWord) -> bool:
-    """One-shot UP-word membership; build an :class:`NpaOracle` for bulk queries."""
-    return NpaOracle(a).member(w)

@@ -210,12 +210,6 @@ def load_document(path: str):
     raise ValidationError(f"{path}: unknown or missing kind {kind!r}")
 
 
-def parse_automaton(path: str):
-    """Validated automaton from a JSON file (morphism, if any, is dropped)."""
-    _, automaton, _ = load_document(path)
-    return automaton
-
-
 def parse_rabin_spec(path: str) -> RabinSpec:
     doc = _load_json(path)
     try:

@@ -274,7 +274,7 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
     the empty tile being generable).  Both parts come from one walk over the
     composed top-successor maps (see :func:`reachable_residuals`), so the cost
     is O(n·|Γ|) top-successor calls plus the record enumeration;
-    :func:`candidate_record_count` counts them without the enumeration.
+    :func:`residual_budget` counts them without the enumeration.
     """
     heads, kills = _walk_from_initial(a)
     out = {r for r in enumerate_records(a.universe.size) if r.entries and r.entries[0] in heads}
@@ -284,18 +284,14 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
 
 
 def residual_budget(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], int]:
-    """R_A and |S_R| from one walk: ``reachable_residuals(a)`` and ``candidate_record_count(a)``."""
+    """R_A and |S_R| from one walk: ``reachable_residuals(a)`` and ``len(candidate_records(a))``.
+
+    |S_R| is in closed form, Σ_{h ∈ R_A} h! plus one if the initial set is
+    killed: a record headed by h is h + 1 long and its tail is a
+    permutation of range(h), so h! records share that head.
+    """
     heads, kills = _walk_from_initial(a)
     return heads, sum(math.factorial(h) for h in heads) + kills
-
-
-def candidate_record_count(a: OrderedBuchiAutomaton) -> int:
-    """``len(candidate_records(a))`` in closed form: Σ_{h ∈ R_A} h! plus one if the initial set is killed.
-
-    A record headed by h is h + 1 long and its tail is a permutation of
-    range(h), so h! records share that head.
-    """
-    return residual_budget(a)[1]
 
 
 def record_count_bound(n: int) -> int:

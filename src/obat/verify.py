@@ -242,12 +242,15 @@ class PreferenceReport:
         return "\n".join([head] + [str(v) for v in self.violations])
 
 
+# prefix length of the sampled continuations w; the report lists it among its bounds
+MAX_W_PREFIX = 2
+
+
 def check_local_preference(
     member: MemberFn,
     alphabet,
     max_u: int = 2,
     max_period: int = 2,
-    max_w_prefix: int = 2,
 ) -> PreferenceReport:
     """Sample the three local preference properties of the language.
 
@@ -259,7 +262,7 @@ def check_local_preference(
     found within the bounds, not a proof of Eve-positionality.
     """
     report = PreferenceReport(
-        bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": max_w_prefix}
+        bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": MAX_W_PREFIX}
     )
     # The oracles cache no prefixes and every prefix here is asked many
     # times, so ``after`` is cached for the length of this call.
@@ -275,7 +278,7 @@ def check_local_preference(
 
     us = list(finite_words(alphabet, max_u))
     vs = list(finite_words(alphabet, max_u, min_len=1))
-    ws = list(enumerate_up_words(alphabet, max_w_prefix, max_period))
+    ws = list(enumerate_up_words(alphabet, MAX_W_PREFIX, max_period))
     continuations: dict = {}  # state after a prefix -> indices of the ws it accepts
 
     def accepted_after(prefix: tuple[str, ...]) -> frozenset[int]:

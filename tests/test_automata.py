@@ -12,9 +12,6 @@ from obat import (
     StateUniverse,
     UsageError,
     ValidationError,
-    dpa_member_up,
-    npa_member_up,
-    oba_member_up,
     oba_validate,
     omega_power_accepts,
     residual_initial_set,
@@ -73,10 +70,10 @@ class TestObaValidate:
 
 class TestObaMembership:
     def test_spec_examples(self):
-        a = inf_a()
-        assert oba_member_up(a, up((), "a"))
-        assert not oba_member_up(a, up((), "b"))
-        assert oba_member_up(a, up((), ("a", "b")))
+        oracle = ObaOracle(inf_a())
+        assert oracle(up((), "a"))
+        assert not oracle(up((), "b"))
+        assert oracle(up((), ("a", "b")))
 
     def test_matches_hand_oracle(self):
         oracle = ObaOracle(inf_a())
@@ -85,7 +82,7 @@ class TestObaMembership:
 
     def test_unknown_letter(self):
         with pytest.raises(UsageError):
-            oba_member_up(inf_a(), up((), "z"))
+            ObaOracle(inf_a())(up((), "z"))
 
     def test_empty_initial_rejects_everything(self):
         a = inf_a()
@@ -167,14 +164,14 @@ class TestParityAutomaton:
 
 class TestNpaMembership:
     def test_even_loop_accepts(self):
-        assert npa_member_up(_single_loop(0), up((), "a"))
+        assert NpaOracle(_single_loop(0))(up((), "a"))
 
     def test_odd_loop_rejects(self):
-        assert not npa_member_up(_single_loop(1), up((), "a"))
+        assert not NpaOracle(_single_loop(1))(up((), "a"))
 
     def test_rejects_all_eps_period(self):
         with pytest.raises(UsageError):
-            npa_member_up(_single_loop(0), up((), (EPS,)))
+            NpaOracle(_single_loop(0))(up((), (EPS,)))
 
     def test_min_parity_liminf(self):
         # period ab sees priorities {0, 1}; min is 0, accepting
@@ -184,9 +181,9 @@ class TestNpaMembership:
             index=(0, 2),
             transitions=frozenset({("x", "a", 1, "y"), ("y", "b", 0, "x"), ("x", "b", 2, "x")}),
         )
-        assert npa_member_up(a, up((), ("a", "b")))
-        assert not npa_member_up(a, up((), ("b", "a", "a")))  # a from y undefined: only b^ω survives
-        assert npa_member_up(a, up(("a",), ("b", "a")))
+        assert NpaOracle(a)(up((), ("a", "b")))
+        assert not NpaOracle(a)(up((), ("b", "a", "a")))  # a from y undefined: only b^ω survives
+        assert NpaOracle(a)(up(("a",), ("b", "a")))
 
     def test_eps_free_deterministic_agrees_with_simulation(self):
         rng = random.Random(5)
@@ -216,8 +213,8 @@ class TestNpaMembership:
             index=(0, 1),
             transitions=frozenset({("x", "a", 1, "x"), ("x", EPS, 1, "y"), ("y", "b", 0, "x")}),
         )
-        assert npa_member_up(a, up((), ("a", "b")))
-        assert not npa_member_up(a, up((), ("a",)))
+        assert NpaOracle(a)(up((), ("a", "b")))
+        assert not NpaOracle(a)(up((), ("a",)))
 
 
 class TestDpaOracle:
@@ -233,5 +230,5 @@ class TestDpaOracle:
             transitions=frozenset({("q", "a", 0, "q"), ("q", "b", 1, "q")}),
             deterministic=True,
         )
-        assert dpa_member_up(d, up((), ("a", "b")))
-        assert not dpa_member_up(d, up(("a",), ("b",)))
+        assert DpaOracle(d)(up((), ("a", "b")))
+        assert not DpaOracle(d)(up(("a",), ("b",)))

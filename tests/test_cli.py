@@ -19,11 +19,10 @@ from obat.cli import (
     main,
     oba_to_doc,
     parity_to_doc,
-    parse_automaton,
     write_doc,
 )
 from obat.convert import check_eps_complete, horizontal_complete_alphabet
-from obat.determinize import apply_eps_completion, determinize
+from obat.determinize import apply_eps_completion, determinize, residual_budget
 
 from zoo import eps_figure, fig_inf_aa_fin_bb, fig_inf_b_or_bb_inf_a, inf_a, rabin_two_pair
 
@@ -73,7 +72,7 @@ def eps_decisions(monkeypatch):
 
 class TestParsing:
     def test_inf_a_round_trip_object(self, inf_a_file):
-        a = parse_automaton(inf_a_file)
+        a = load_document(inf_a_file)[1]
         ref = inf_a()
         assert a.universe == ref.universe
         assert a.initial == ref.initial
@@ -84,7 +83,7 @@ class TestParsing:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception) as err:
-            parse_automaton(str(path))
+            load_document(str(path))[1]
         assert "s0" in str(err.value)
 
     def test_priority_outside_index_rejected(self, tmp_path):
@@ -98,7 +97,7 @@ class TestParsing:
         path = tmp_path / "bad-parity.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception) as err:
-            parse_automaton(str(path))
+            load_document(str(path))[1]
         assert "index" in str(err.value)
 
     def test_round_trip_serialization_is_canonical(self, tmp_path):
@@ -139,7 +138,7 @@ class TestParsing:
         path = tmp_path / "eps-letter.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception) as err:
-            parse_automaton(str(path))
+            load_document(str(path))[1]
         assert "reserved" in str(err.value)
 
 
@@ -273,7 +272,7 @@ class TestCommands:
         assert capsys.readouterr().out == (
             f"|Q| = {a.universe.size}\n|Γ| = {len(a.alphabet)}\n"
             f"R_A = {{{', '.join(a.universe.name(q) for q in heads)}}}\n"
-            f"|S_R| = {obat.candidate_record_count(a)}\nrecord bound = {obat.record_count_bound(a.universe.size)}\n"
+            f"|S_R| = {residual_budget(a)[1]}\nrecord bound = {obat.record_count_bound(a.universe.size)}\n"
         )
 
     def test_dot(self, inf_a_file, tmp_path):
@@ -530,14 +529,13 @@ class TestCommands:
         ],
         ids=["two-undeclared-states", "two-priorities-outside-index"],
     )
-    def test_two_transition_faults_name_the_first_in_set_order(self, tmp_path, capsys, rows, message):
-        """String rows iterate in hash order, so the offender named is the first of the transition set."""
-        transitions = [tuple(t) for t in GENBUCHI_DOC["transitions"] + rows]
-        first = next(t for t in frozenset(transitions) if list(t) in rows)
+    def test_two_transition_faults_name_the_least(self, tmp_path, capsys, rows, message):
+        """String rows iterate in hash order, so the offender named is the least, not the first met."""
+        least = min(tuple(t) for t in rows)
         path = tmp_path / "two-faults.json"
         path.write_text(json.dumps(dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + rows)))
         assert main(["stats", str(path)]) == INVALID
-        assert capsys.readouterr().err == f"validation error: {path}: {message.format(first)}\n"
+        assert capsys.readouterr().err == f"validation error: {path}: {message.format(least)}\n"
 
     @pytest.mark.parametrize(
         "records, message",
@@ -697,6 +695,14 @@ class TestHashSeedIndependence:
             ["determinize", "rabin.oba.json", "-o", "rabin.det.json"],
             ["stats", "rabin.oba.json"],
         ]
+        # two faults each, which frozenset order would name by hash seed
+        for name, rows in (
+            ("two-undeclared", [["x", "c", 1, "w"], ["w", "d", 1, "y"]]),
+            ("two-priorities", [["w", "c", 2, "w"], ["sa", "d", -1, "w"]]),
+            ("two-repeated-pairs", [["w", "a", 0, "sa"], ["sa", "b", 1, "sa"]]),
+        ):
+            (root / f"{name}.json").write_text(json.dumps(dict(GENBUCHI_DOC, transitions=GENBUCHI_DOC["transitions"] + rows)))
+            argv += [["validate", f"{name}.json"], ["stats", f"{name}.json"]]
         return argv
 
     def test_outputs_do_not_depend_on_hash_seed(self, tmp_path):
@@ -717,8 +723,9 @@ class TestHashSeedIndependence:
             runs.append((done.stdout, done.stderr, files))
         (out0, err0, files0), (out5, err5, files5) = runs
         codes = [line.rsplit(b" ", 1)[1] for line in out0.splitlines() if line.startswith(b"-- ")]
-        assert len(codes) == len(argv) and set(codes) == {b"0", b"1", b"2"}  # success, not ε-complete, usage
+        # success, not ε-complete or invalid, usage, validation error
+        assert len(codes) == len(argv) and set(codes) == {b"0", b"1", b"2", b"3"}
         assert (out0, err0) == (out5, err5)
-        assert files0.keys() == files5.keys() and len(files0) == 20
+        assert files0.keys() == files5.keys() and len(files0) == 23
         for name in files0:
             assert files0[name] == files5[name], name

@@ -17,7 +17,6 @@ from obat.determinize import (
     EMPTY_RECORD,
     Record,
     apply_eps_completion,
-    candidate_record_count,
     candidate_records,
     delta,
     determinize,
@@ -27,6 +26,7 @@ from obat.determinize import (
     kills_initial,
     reachable_residuals,
     record_count_bound,
+    residual_budget,
 )
 from obat.convert import parity_to_oba, rabin_to_oba
 from obat.tiles import ValidationError, successors
@@ -287,7 +287,7 @@ class TestCandidateRecordCount:
 
     def test_determinization_corpus(self):
         for name, a in determinization_corpus():
-            assert candidate_record_count(a) == len(candidate_records(a)), name
+            assert residual_budget(a)[1] == len(candidate_records(a)), name
 
     def test_random_automata(self):
         rng = random.Random(20261021)
@@ -295,7 +295,7 @@ class TestCandidateRecordCount:
         cases += [_random_walk_case(rng) for _ in range(100)]
         assert {a.universe.size for a in cases} == {1, 2, 3, 4, 5, 6}
         for i, a in enumerate(cases):
-            assert candidate_record_count(a) == len(candidate_records(a)), i
+            assert residual_budget(a)[1] == len(candidate_records(a)), i
 
 
 class TestRecordCountBound:

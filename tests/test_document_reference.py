@@ -4,11 +4,12 @@ The references below keep the earlier per-row code: ``_parse_oba`` with an
 unpack, a per-entry type loop and eager messages; ``upward_closure`` with a
 running maximum from ``itertools.accumulate`` and a separate corner scan;
 ``_parse_parity`` with per-column type loops and ``universe.index`` per
-record entry; the ``ParityAutomaton`` checks one transition at a time; and
+record entry; the ``ParityAutomaton`` checks one transition at a time, in
+sorted order so that the offender named is the least; and
 ``parity_to_doc`` sorting list rows.  The library checks entry and column
 types with one type-set test and walks rows only to name an offender; its
-``ParityAutomaton`` checks are still per transition, and the reference pins
-them for any later bulk version.  Both must build equal automata and
+``ParityAutomaton`` checks make one pass in set order and sort only on a
+fault, and the reference pins them for any later bulk version.  Both must build equal automata and
 equal documents on the zoo, the 54-automaton corpus, seeded random automata,
 the horizontal-complete alphabets and their determinizations and
 ε-completions, and must raise the same exception type and message on every
@@ -142,7 +143,7 @@ def ref_parse_oba(doc, path):
 
 
 def ref_check_parity(states, initial, index, transitions, deterministic):
-    """The checks of ``ParityAutomaton.__post_init__``, one transition at a time."""
+    """The checks of ``ParityAutomaton.__post_init__``, one transition at a time in sorted order."""
     lo, hi = index
     if lo > hi:
         raise ValidationError(f"empty priority index [{lo},{hi}]")
@@ -153,7 +154,7 @@ def ref_check_parity(states, initial, index, transitions, deterministic):
         raise ValidationError("state identifiers must be pairwise distinct")
     if not initial <= stateset:
         raise ValidationError("initial states must be declared states")
-    for (p, a, c, q) in transitions:
+    for (p, a, c, q) in sorted(transitions):
         if p not in stateset or q not in stateset:
             raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
         if not lo <= c <= hi:
@@ -162,7 +163,7 @@ def ref_check_parity(states, initial, index, transitions, deterministic):
         if len(initial) != 1:
             raise ValidationError("deterministic automaton needs exactly one initial state")
         seen = set()
-        for (p, a, _, _) in transitions:
+        for (p, a, _, _) in sorted(transitions):
             if a == EPS:
                 continue
             if (p, a) in seen:

@@ -1,0 +1,254 @@
+"""Differential test of ``ObaOracle`` against its set-based predecessor.
+
+The reference below keeps the earlier oracle: a frozenset successor table
+per letter, prefixes folded as explicit state sets, and the period-boundary
+states as the union of the orbit of the prefix's set, met with the
+frozenset of accepting boundary states per period.  The library holds a
+state set as its greatest state instead (every reachable set is {0..m}) and
+keeps one integer per period.  Both must give the same verdict, or raise
+the same usage error, on every query, and ``accepts(after(u), v)`` must
+equal the reference's ``member``, on the zoo, the 54-automaton corpus,
+seeded random automata with up to six states, the horizontal-complete
+alphabets up to n = 4, the Rabin and ε-complete conversions with their
+morphisms, and the long words of the figures.
+"""
+
+import random
+
+import pytest
+
+from obat import (
+    Morphism,
+    ObaOracle,
+    OrderedBuchiAutomaton,
+    StateUniverse,
+    UsageError,
+    up,
+)
+from obat.automata import _require_letters, _scc_partition
+from obat.convert import horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
+from obat.verify import enumerate_up_words
+
+from test_oracle_walk import _long_words
+from zoo import (
+    determinization_corpus,
+    eps_complete_corpus,
+    fig_inf_aa_fin_bb,
+    fig_inf_b_or_bb_inf_a,
+    inf_a,
+    rabin_behavioral_two_pair,
+    rabin_two_pair,
+    random_oba,
+)
+
+
+# --- the set-based reference ----------------------------------------------------
+
+
+def _post(succ, states):
+    out = set()
+    for p in states:
+        out.update(succ.get(p, ()))
+    return frozenset(out)
+
+
+def _fold(start, succs):
+    for succ in succs:
+        start = _post(succ, start)
+    return start
+
+
+def _orbit_union(start, image):
+    seen = {start}
+    union = set(start)
+    cur = start
+    while True:
+        cur = image(cur)
+        if cur in seen:
+            return frozenset(union)
+        seen.add(cur)
+        union |= cur
+
+
+class RefObaOracle:
+    """UP-word membership over explicit state sets."""
+
+    def __init__(self, a, morphism=None):
+        self.automaton = a
+        self.morphism = morphism
+        names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
+        self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
+        self._succ = {
+            x: {p: frozenset(range(q + 1)) for p, q in enumerate(tile.top) if q >= 0}
+            for x, tile in self._tile.items()
+        }
+        self._letters = frozenset(self._succ)
+        self._acc = {}
+
+    def _check_letters(self, *parts):
+        for part in parts:
+            if self._letters.issuperset(part):
+                continue
+            if self.morphism is not None:
+                _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
+            _require_letters(self._letters, part)
+
+    def _state(self, prefix):
+        return _fold(self.automaton.initial, (self._succ[letter] for letter in prefix))
+
+    def _accepting_states(self, period):
+        if period in self._acc:
+            return self._acc[period]
+        a = self.automaton
+        length = len(period)
+        succ, buchi_edges = {}, []
+        for i, letter in enumerate(period):
+            j = (i + 1) % length
+            for (p, c, q) in self._tile[letter].transitions:
+                succ.setdefault((p, i), []).append((q, j))
+                if c == 0:
+                    buchi_edges.append(((p, i), (q, j)))
+        comp = _scc_partition([(q, i) for q in range(a.universe.size) for i in range(length)], succ)
+        good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
+        result = self._acc[period] = frozenset(q for q in range(a.universe.size) if comp[(q, 0)] in good)
+        return result
+
+    def _decide(self, state, period):
+        maps = [self._succ[letter] for letter in period]
+        boundary = _orbit_union(state, lambda s: _fold(s, maps))
+        return bool(boundary & self._accepting_states(period))
+
+    def after(self, prefix):
+        self._check_letters(prefix)
+        return self._state(prefix)
+
+    def accepts(self, state, period):
+        self._check_letters(period)
+        return self._decide(state, period)
+
+    def member(self, w):
+        self._check_letters(w.prefix, w.period)
+        return self._decide(self._state(w.prefix), w.period)
+
+
+# --- the comparison -------------------------------------------------------------------
+
+
+def _outcome(call, *args):
+    try:
+        return ("ok", call(*args))
+    except UsageError as e:
+        return ("usage", str(e))
+
+
+def _split(oracle, w):
+    return oracle.accepts(oracle.after(w.prefix), w.period)
+
+
+def _check(name, a, words, morphism=None):
+    """The verdicts (or usage messages) of ``member``, each equal to the reference's.
+
+    The split is compared with the reference's split, which may name a
+    different bad letter than ``member`` does, and its verdicts with the
+    reference's ``member``.
+    """
+    ref, whole, split = RefObaOracle(a, morphism), ObaOracle(a, morphism), ObaOracle(a, morphism)
+    verdicts = set()
+    for w in words:
+        want = _outcome(ref.member, w)
+        verdicts.add(want[1])
+        assert _outcome(whole.member, w) == want, (name, w)
+        assert _outcome(_split, split, w) == _outcome(_split, ref, w), (name, w)
+        if want[0] == "ok":
+            assert _split(split, w) == want[1], (name, w)
+            assert ref.after(w.prefix) == frozenset(range(split.after(w.prefix) + 1)), (name, w)
+    return verdicts
+
+
+def _random_word(rng, letters, max_prefix, max_period):
+    prefix = rng.choices(letters, k=rng.randint(0, max_prefix))
+    return up(prefix, rng.choices(letters, k=rng.randint(1, max_period)))
+
+
+def _words(rng, letters, count=40):
+    """Every word with prefix and period up to 2, then random longer ones."""
+    words = list(enumerate_up_words(letters, 2, 2))
+    return words + [_random_word(rng, letters, 12, 5) for _ in range(count)]
+
+
+def test_zoo_and_corpus():
+    rng = random.Random(20261101)
+    verdicts = set()
+    corpus = determinization_corpus()
+    assert len(corpus) == 54
+    for name, a in corpus:
+        verdicts |= _check(name, a, _words(rng, sorted(a.alphabet)))
+    assert verdicts == {True, False}
+
+
+def test_random_automata_up_to_six_states():
+    rng = random.Random(20261102)
+    sizes = set()
+    for i in range(240):
+        a = random_oba(rng, max_states=6, full_initial=i % 4 == 0)
+        sizes.add(a.universe.size)
+        letters = sorted(a.alphabet)
+        _check(f"random-{i}", a, [_random_word(rng, letters, 8, 4) for _ in range(60)])
+    assert sizes == {1, 2, 3, 4, 5, 6}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_horizontal_complete(n):
+    rng = random.Random(20261103 + n)
+    u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+    alphabet = horizontal_complete_alphabet(u)
+    letters = sorted(alphabet)
+    for k in range(n + 1):
+        a = OrderedBuchiAutomaton(u, frozenset(range(k)), alphabet)
+        words = [_random_word(rng, letters, 6, 4) for _ in range(150)]
+        if n <= 2:
+            words += list(enumerate_up_words(letters, 2, 2))
+        _check(f"horizontal-{n}-initial-{k}", a, words)
+
+
+def test_conversions_with_morphisms():
+    rng = random.Random(20261104)
+    cases = [("rabin-two-pair", *rabin_to_oba(rabin_two_pair()))]
+    cases.append(("rabin-behavioural", *rabin_to_oba(rabin_behavioral_two_pair())))
+    cases += [(f"eps-{name}", *parity_to_oba(p)) for name, p in eps_complete_corpus()]
+    for name, a, morphism in cases:
+        letters = sorted(morphism.as_dict())
+        verdicts = _check(name, a, _words(rng, letters), morphism)
+        assert verdicts == {True, False}, name
+        outside = [up(letters[:1], ("zz",)), up(("zz",), letters[:1]), up((), (a.letters[0],))]
+        _check(f"{name}-outside-domain", a, outside, morphism)
+
+
+def test_unknown_letters_and_missing_tiles():
+    oba, _ = rabin_to_oba(rabin_two_pair())
+    words = [up(("x",), ("zz",)), up(("x",), ("x",)), up(("zz",), ("x",)), up((), ("x",))]
+    verdicts = _check("missing-tile", oba, words, Morphism.from_dict({"x": "no-such-tile"}))
+    assert verdicts == {"letter 'zz' not in morphism domain", "unknown letter 'no-such-tile'"}
+    verdicts = _check("inf-a-unknown", inf_a(), [up("az", "a"), up("a", "zb"), up("zy", "x")])
+    assert verdicts == {"unknown letter 'z'"}
+
+
+@pytest.mark.parametrize("make", [fig_inf_aa_fin_bb, fig_inf_b_or_bb_inf_a])
+def test_long_words(make):
+    assert _check(make.__name__, make(), _long_words(random.Random(3))) == {True, False}
+
+
+def test_empty_initial_set():
+    rng = random.Random(20261105)
+    a = random_oba(rng, max_states=4)
+    a.initial = frozenset()
+    assert ObaOracle(a).after(()) == -1
+    assert _check("empty-initial", a, _words(rng, sorted(a.alphabet))) == {False}
+
+
+@pytest.mark.parametrize("initial", [{1}, {0, 2}, {0, 1, 2}], ids=["not-from-zero", "gap", "outside"])
+def test_initial_set_not_downward_closed_is_a_usage_error(initial):
+    u = StateUniverse(("s0", "s1"))
+    a = OrderedBuchiAutomaton(u, frozenset(initial), {})
+    with pytest.raises(UsageError, match=r"initial set \{0..k-1\} inside the universe"):
+        ObaOracle(a)

@@ -31,15 +31,10 @@ from .convert import (
     rabin_to_oba,
 )
 from .determinize import (
-    EMPTY_RECORD,
-    Record,
     apply_eps_completion,
-    candidate_records,
     delta,
     determinize,
-    enumerate_records,
     eps_complete_det,
-    initial_record,
     reachable_residuals,
     record_count_bound,
 )

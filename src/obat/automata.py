@@ -22,6 +22,7 @@ from .tiles import (
     UsageError,
     ValidationError,
     is_buchi,
+    top_successor,
 )
 
 EPS = "eps"
@@ -405,6 +406,33 @@ def residual_initial_set(a: OrderedBuchiAutomaton, word) -> frozenset[int]:
     """Initial set of the residual after a finite word: reachable set, downward-closed."""
     tops = [a.tile(letter).top for letter in word]
     return frozenset(range(_walk(max(a.initial, default=-1), tops) + 1))
+
+
+def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
+    """States reached from max(I) under the letters' top-successor maps, and
+    whether some letter's map is undefined on one of them.
+
+    These are R_A and the kills-max(I) flag read by ``obat.determinize`` and
+    ``obat.verify``.  Empty initial set: nothing is reached and the initial
+    set counts as killed.
+    """
+    if not a.initial:
+        return frozenset(), True
+    tiles = [a.alphabet[x] for x in sorted(a.alphabet)]
+    start = max(a.initial)
+    reached = {start}
+    frontier = [start]
+    kills = False
+    while frontier:
+        q = frontier.pop()
+        for t in tiles:
+            r = top_successor(t, q)
+            if r is None:
+                kills = True
+            elif r not in reached:
+                reached.add(r)
+                frontier.append(r)
+    return frozenset(reached), kills
 
 
 class DpaOracle:

@@ -9,6 +9,7 @@ the morphism renaming external letters into tile letters.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .automata import EPS, Morphism, OrderedBuchiAutomaton, ParityAutomaton, UPWord
@@ -353,27 +354,16 @@ def horizontal_complete_alphabet(universe: StateUniverse) -> dict[str, Tile]:
     """All tiles generated by self-loop-only skeletons: 3^|Q| of them, |Q| <= 6.
 
     Letters are named by the per-state assignment, '-' absent, '1' or '0' the
-    self-loop priority, minimum state first.
+    self-loop priority, minimum state first, in ``itertools.product`` order.
+    The tiles are distinct: a self-loop skeleton's closure has exactly the
+    assigned states as corners, with their priorities.
     """
     n = universe.size
     if n > 6:
         raise UsageError(
             f"horizontal-complete alphabet over {n} states would have {3 ** n} letters"
         )
-    out: dict[str, Tile] = {}
-    seen: dict[Tile, str] = {}
-    def assignments(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in assignments(k - 1):
-            for v in "-10":
-                yield rest + (v,)
-    for assign in assignments(n):
-        gen = {(q, int(v), q) for q, v in enumerate(assign) if v != "-"}
-        tile = upward_closure(universe, gen)
-        name = "".join(assign)
-        if tile not in seen:
-            seen[tile] = name
-            out[name] = tile
-    return out
+    return {
+        "".join(assign): upward_closure(universe, {(q, int(v), q) for q, v in enumerate(assign) if v != "-"})
+        for assign in itertools.product("-10", repeat=n)
+    }

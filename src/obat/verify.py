@@ -7,10 +7,12 @@ enumeration and enumerate_upward_closed_tiles finds every closed tile the
 same way;
 tile_monoid builds the whole monoid generated by an alphabet, from which
 monoid_residuals reads R_A and the kills-max(I) flag that ``obat.determinize``
-computes by a top-successor walk; equiv_up compares two membership oracles
-over every ultimately-periodic word within bounds; check_local_preference
-samples the three factor-closure properties that characterize Eve-positional
-languages.  Both decide each (prefix state, period) class once, through the
+computes by a top-successor walk; enumerate_records lists every record as a
+validated Record, and candidate_records the explicit set S_R, whose size
+``obat.determinize.residual_budget`` gives in closed form; equiv_up compares
+two membership oracles over every ultimately-periodic word within bounds;
+check_local_preference samples the three factor-closure properties that
+characterize Eve-positional languages.  Both decide each (prefix state, period) class once, through the
 oracles' ``after``/``accepts`` split (``split_oracle``).  All enumeration
 runs in a fixed order (prefix length, period length, lexicographic) so
 reported counterexamples are reproducible.
@@ -28,13 +30,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .automata import OrderedBuchiAutomaton, UPWord
+from .automata import OrderedBuchiAutomaton, UPWord, _walk_from_initial
 from .tiles import (
     Skeleton,
     StateUniverse,
     Tile,
     Transition,
     UsageError,
+    ValidationError,
     product,
     tile_of,
     top_successor,
@@ -146,6 +149,58 @@ def monoid_residuals(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
     tops = [top_successor(t, q_top) for t in info.monoid]
     kills = any(top_successor(t, q_top) is None for t in info.semigroup)
     return frozenset(q for q in tops if q is not None), kills
+
+
+@dataclass(frozen=True)
+class Record:
+    """Injective tuple of states with downward-closed image and maximal head.
+
+    Over index-coded states a downward-closed image is exactly {0..k-1}, so a
+    record is a permutation of range(k) whose first entry is k-1.  The
+    library steps the bare ``entries`` tuple; this class checks the shape.
+    """
+
+    entries: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        k = len(self.entries)
+        if set(self.entries) != set(range(k)):
+            raise ValidationError(f"record image must be downward-closed: {self.entries}")
+        if k and self.entries[0] != k - 1:
+            raise ValidationError(f"record head must be its maximum: {self.entries}")
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    @property
+    def head(self) -> int | None:
+        return self.entries[0] if self.entries else None
+
+
+EMPTY_RECORD = Record(())
+
+
+def enumerate_records(n: int) -> Iterator[Record]:
+    """Every record over n states: the empty one plus (k-1)! of each size k."""
+    yield EMPTY_RECORD
+    for k in range(1, n + 1):
+        for tail in itertools.permutations(range(k - 1)):
+            yield Record((k - 1,) + tail)
+
+
+def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
+    """S_R: the records headed by a reachable residual, the determinization's state budget.
+
+    The empty record is included exactly when some nonempty product of tiles
+    kills the initial set.  Both parts come from the top-successor walk of
+    ``obat.determinize.reachable_residuals``; the enumeration makes the set
+    factorial in |Q|, so the library counts it in closed form instead.
+    """
+    heads, kills = _walk_from_initial(a)
+    out = {r for r in enumerate_records(a.universe.size) if r.entries and r.entries[0] in heads}
+    if kills:
+        out.add(EMPTY_RECORD)
+    return frozenset(out)
 
 
 MemberFn = Callable[[UPWord], bool]

@@ -39,11 +39,11 @@ from obat.convert import (
 )
 from obat.determinize import (
     apply_eps_completion,
-    candidate_records,
     determinize,
     record_count_bound,
 )
 from obat.verify import (
+    candidate_records,
     check_local_preference,
     enumerate_up_words,
     enumerate_upward_closed_tiles,

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from obat import (
@@ -252,6 +254,11 @@ class TestHorizontalCompleteAlphabet:
     def test_two_states_nine_tiles(self):
         u = StateUniverse(("q0", "q1"))
         assert len(horizontal_complete_alphabet(u)) == 9
+        assert list(horizontal_complete_alphabet(u)) == ["--", "-1", "-0", "1-", "11", "10", "0-", "01", "00"]
+        for n in range(1, 7):  # 3^n distinct tiles, named in itertools.product order
+            tiles = horizontal_complete_alphabet(StateUniverse(tuple(f"q{i}" for i in range(n))))
+            assert list(tiles) == ["".join(x) for x in itertools.product("-10", repeat=n)]
+            assert len(set(tiles.values())) == len(tiles) == 3**n
 
     def test_contains_unit(self):
         for n in (1, 2, 3):

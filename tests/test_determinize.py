@@ -14,15 +14,10 @@ from obat import (
 )
 from obat.convert import check_eps_complete, horizontal_complete_alphabet
 from obat.determinize import (
-    EMPTY_RECORD,
-    Record,
     apply_eps_completion,
-    candidate_records,
     delta,
     determinize,
-    enumerate_records,
     eps_complete_det,
-    initial_record,
     kills_initial,
     reachable_residuals,
     record_count_bound,
@@ -30,7 +25,15 @@ from obat.determinize import (
 )
 from obat.convert import parity_to_oba, rabin_to_oba
 from obat.tiles import ValidationError, successors
-from obat.verify import equiv_up, monoid_residuals, tile_monoid
+from obat.verify import (
+    EMPTY_RECORD,
+    Record,
+    candidate_records,
+    enumerate_records,
+    equiv_up,
+    monoid_residuals,
+    tile_monoid,
+)
 
 from zoo import (
     determinization_corpus,
@@ -55,31 +58,36 @@ class TestRecord:
         assert EMPTY_RECORD.head is None
 
 
+def _initial_record(a):
+    det = determinize(a)
+    return det.records[det.states[0]]
+
+
 class TestInitialRecord:
+    """The determinization starts from the initial states in descending order."""
+
     def test_two_initial(self):
-        assert initial_record(inf_a()).entries == (1, 0)
+        assert _initial_record(inf_a()) == (1, 0)
 
     def test_single_initial(self):
         a = inf_a()
         a.initial = frozenset({0})
-        assert initial_record(a).entries == (0,)
+        assert _initial_record(a) == (0,)
 
     def test_empty_initial(self):
         a = inf_a()
         a.initial = frozenset()
-        assert initial_record(a) == EMPTY_RECORD
+        assert _initial_record(a) == ()
 
 
 class TestDelta:
     def test_inf_a_on_a(self):
         a = inf_a()
-        priority, nxt = delta(Record((1, 0)), a.alphabet["a"])
-        assert (priority, nxt.entries) == (0, (1, 0))
+        assert delta((1, 0), a.alphabet["a"]) == (0, (1, 0))
 
     def test_inf_a_on_unit(self):
         a = inf_a()
-        priority, nxt = delta(Record((1, 0)), a.alphabet["b"])
-        assert (priority, nxt.entries) == (3, (1, 0))
+        assert delta((1, 0), a.alphabet["b"]) == (3, (1, 0))
 
     def test_worked_six_state_example(self):
         # record (q5,q3,q4,q0,q2,q1); the tile's top-successor map sends
@@ -88,23 +96,19 @@ class TestDelta:
         # descending order.
         u = StateUniverse(tuple(f"q{i}" for i in range(6)))
         t = upward_closure(u, [(0, 1, 1), (2, 1, 3), (4, 1, 4)])
-        priority, nxt = delta(Record((5, 3, 4, 0, 2, 1)), t)
-        assert nxt.entries == (4, 3, 1, 2, 0)
-        assert set(nxt.entries[:3]) == {4, 3, 1}  # best(P), oldest first
-        assert nxt.entries[3] == 2 and nxt.entries[4] == 0  # R descending
+        priority, nxt = delta((5, 3, 4, 0, 2, 1), t)
+        assert nxt == (4, 3, 1, 2, 0)
+        assert set(nxt[:3]) == {4, 3, 1}  # best(P), oldest first
+        assert nxt[3] == 2 and nxt[4] == 0  # R descending
         # index 0 keeps its run through a dominated Büchi transition
         assert priority == 0
 
     def test_record_collapse_gives_minus_one(self):
         u = StateUniverse(("s0", "s1"))
         t = upward_closure(u, [(1, 1, 0)])
-        first = delta(Record((1, 0)), t)
-        assert first.next.entries == (0,)
-        assert first.priority == 1
-        second = delta(first.next, t)
-        assert second.next == EMPTY_RECORD
-        assert second.priority == -1
-        assert delta(EMPTY_RECORD, t) == (-1, EMPTY_RECORD)
+        assert delta((1, 0), t) == (1, (0,))
+        assert delta((0,), t) == (-1, ())
+        assert delta((), t) == (-1, ())
 
     def test_image_tracks_successors(self):
         rng = random.Random(3)
@@ -112,10 +116,11 @@ class TestDelta:
             a = random_oba(rng)
             det = determinize(a)
             for name in det.states:
-                rec = Record(det.records[name])
+                rec = det.records[name]
                 for tile in a.alphabet.values():
                     _, nxt = delta(rec, tile)
-                    assert set(nxt.entries) == set(successors(tile, rec.entries))
+                    Record(nxt)  # a valid record
+                    assert set(nxt) == set(successors(tile, rec))
 
     def test_priority_bounds(self):
         rng = random.Random(4)

@@ -1,14 +1,15 @@
-"""Differential test of the tuple kernel behind ``delta`` and ``determinize``.
+"""Differential test of ``delta`` and ``determinize`` against a Record-level step.
 
 The references below keep the earlier, Record-level step: a dict of top
 successors, the live indices, a leader map, a sorted preserved list, the
 reached set from ``successors`` and an ``is_buchi`` scan for the Büchi
-index, with a validated :class:`Record` per step.  The library steps plain
-entry tuples instead; both must give the same priority and next record for
-every record at n <= 6 against seeded random and horizontal-complete tiles,
-and the same determinization (states in order, transitions, records) on the
-zoo, the determinization corpus, seeded random automata and the
-horizontal-complete alphabets.
+index, with a validated :class:`obat.verify.Record` per step.  The library
+steps plain entry tuples instead; both must give the same priority and next
+record for every record at n <= 6 against seeded random and
+horizontal-complete tiles, and the same determinization (states in order,
+transitions, records) on the zoo, the determinization corpus, seeded random
+automata, the richer ``rich_oba`` automata at n = 4..6, whose reached
+records must also lie in S_R, and the horizontal-complete alphabets.
 """
 
 import random
@@ -17,22 +18,16 @@ import pytest
 
 from obat import OrderedBuchiAutomaton, ParityAutomaton, StateUniverse, upward_closure
 from obat.convert import horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
-from obat.determinize import (
-    EMPTY_RECORD,
-    DetTransitionResult,
-    Record,
-    delta,
-    determinize,
-    enumerate_records,
-    initial_record,
-)
+from obat.determinize import delta, determinize
 from obat.tiles import is_buchi, successors, top_successor
+from obat.verify import EMPTY_RECORD, Record, candidate_records, enumerate_records
 
 from zoo import (
     determinization_corpus,
     eps_complete_corpus,
     rabin_behavioral_two_pair,
     random_oba,
+    rich_oba,
 )
 
 
@@ -40,6 +35,7 @@ from zoo import (
 
 
 def ref_delta(s, t):
+    """The priority and the next :class:`Record` after reading t from record s."""
     best = {i: top_successor(t, q) for i, q in enumerate(s.entries)}
     live = [i for i in range(len(s)) if best[i] is not None]
     leader_of_state = {}
@@ -58,7 +54,7 @@ def ref_delta(s, t):
             break
     forgotten = [i for i in range(len(s)) if i not in preserved]
     red = forgotten[0] if forgotten else default
-    return DetTransitionResult(min(2 * green, 2 * red - 1), nxt)
+    return min(2 * green, 2 * red - 1), nxt
 
 
 def ref_determinize(a):
@@ -67,7 +63,7 @@ def ref_determinize(a):
 
     n = a.universe.size
     letters = sorted(a.alphabet)
-    start = initial_record(a)
+    start = Record(tuple(sorted(a.initial, reverse=True)))
     order = [start]
     name = {start: record_name(start)}
     transitions = set()
@@ -132,7 +128,8 @@ class TestDeltaAgainstReference:
         assert EMPTY_RECORD in records and len(records) == len(set(records))
         for r in records:
             for t in tiles:
-                assert delta(r, t) == ref_delta(r, t), (r.entries, t.top, sorted(t.ones))
+                priority, nxt = ref_delta(r, t)
+                assert delta(r.entries, t) == (priority, nxt.entries), (r.entries, t.top, sorted(t.ones))
 
 
 class TestDeterminizeAgainstReference:
@@ -163,6 +160,19 @@ class TestDeterminizeAgainstReference:
             letters = "abcd"[: rng.randint(1, 4)]
             a = OrderedBuchiAutomaton(u, frozenset(range(rng.randint(0, n))), {x: _rich_tile(rng, u) for x in letters})
             self._check(f"rich-{i}", a)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_rich_automata_reach_only_candidate_records(self, n):
+        rng = random.Random(8090 + n)
+        sizes = []
+        for i in range(20):
+            a = rich_oba(rng, n)
+            self._check(f"rich-oba-{n}-{i}", a)
+            det = determinize(a)
+            budget = {r.entries for r in candidate_records(a)}
+            assert set(det.records.values()) <= budget, (n, i)
+            sizes.append(len(det.states))
+        assert max(sizes) > 2 * n, sizes  # records well past the trivial ones
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_horizontal_complete(self, n):

@@ -11,8 +11,15 @@ equal the reference's ``member``, on the zoo, the 54-automaton corpus,
 seeded random automata with up to six states, the horizontal-complete
 alphabets up to n = 4, the Rabin and ε-complete conversions with their
 morphisms, and the long words of the figures.
+
+The same runs check the library oracle against the ω-power criterion, a
+candidate replacement for its SCC search: v^ω is accepted from {0..m} iff
+the automaton with initial set {0..m} accepts t_v^ω for t_v the product of
+v's tiles (``omega_power_accepts``), for every m from -1, where nothing is
+accepted, to |Q| - 1.
 """
 
+import functools
 import random
 
 import pytest
@@ -23,6 +30,8 @@ from obat import (
     OrderedBuchiAutomaton,
     StateUniverse,
     UsageError,
+    omega_power_accepts,
+    product,
     up,
 )
 from obat.automata import _require_letters, _scc_partition
@@ -145,14 +154,21 @@ def _split(oracle, w):
     return oracle.accepts(oracle.after(w.prefix), w.period)
 
 
+def omega_power(a, m, t):
+    """Whether t^ω is accepted from {0..m}, by the single-tile criterion."""
+    return omega_power_accepts(OrderedBuchiAutomaton(a.universe, frozenset(range(m + 1)), a.alphabet), t)
+
+
 def _check(name, a, words, morphism=None):
     """The verdicts (or usage messages) of ``member``, each equal to the reference's.
 
     The split is compared with the reference's split, which may name a
     different bad letter than ``member`` does, and its verdicts with the
-    reference's ``member``.
+    reference's ``member``; ``accepts(m, v)`` equals :func:`omega_power`
+    on the product of v's tiles at every m.
     """
     ref, whole, split = RefObaOracle(a, morphism), ObaOracle(a, morphism), ObaOracle(a, morphism)
+    names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
     verdicts = set()
     for w in words:
         want = _outcome(ref.member, w)
@@ -162,6 +178,9 @@ def _check(name, a, words, morphism=None):
         if want[0] == "ok":
             assert _split(split, w) == want[1], (name, w)
             assert ref.after(w.prefix) == frozenset(range(split.after(w.prefix) + 1)), (name, w)
+            t_v = functools.reduce(product, [a.alphabet[names[x]] for x in w.period])
+            for m in range(-1, a.universe.size):
+                assert split.accepts(m, w.period) == omega_power(a, m, t_v), (name, w, m)
     return verdicts
 
 

@@ -265,6 +265,34 @@ def random_oba(
     )
 
 
+def random_staircase(rng: random.Random, universe: StateUniverse) -> Tile:
+    """A tile with a random monotone ``top`` and random corner priorities."""
+    n = universe.size
+    top = sorted(rng.randint(-1, n - 1) for _ in range(n))
+    corners = [p for p, t in enumerate(top) if t >= 0 and (p == 0 or top[p - 1] < t)]
+    return upward_closure(universe, {(p, rng.randint(0, 1), top[p]) for p in corners})
+
+
+def rich_oba(rng: random.Random, n: int) -> OrderedBuchiAutomaton:
+    """Four distinct horizontal-complete letters plus one random staircase, all states initial.
+
+    ``random_oba``'s tiles of at most three generators collapse at |Q| >= 4
+    (their determinizations reach at most 5 records); these reach tens.
+    Each horizontal letter is named by its assignment, as in
+    ``horizontal_complete_alphabet``.
+    """
+    universe = StateUniverse(tuple(f"q{i}" for i in range(n)))
+    names: set[str] = set()
+    while len(names) < 4:
+        names.add("".join(rng.choices("-10", k=n)))
+    alphabet = {
+        x: upward_closure(universe, {(q, int(v), q) for q, v in enumerate(x) if v != "-"})
+        for x in sorted(names)
+    }
+    alphabet["s"] = random_staircase(rng, universe)
+    return OrderedBuchiAutomaton(universe, frozenset(range(n)), alphabet)
+
+
 def determinization_corpus(count: int = 50, seed: int = 20240817):
     """Named examples plus random ordered Büchi automata, morphism-free view."""
     from obat.convert import rabin_to_oba

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+from contextlib import suppress
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -318,11 +321,37 @@ def _chunks(value, indent: str):
         yield _leaf(value)
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s opener for mode "w" without its ``O_TRUNC``.
+
+    Truncating to zero on open makes the file system free (and on some
+    mounts discard) every old block before the same blocks are written again.
+    """
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
 def _write(path: str, chunks) -> None:
-    """Write the strings ``chunks`` to ``path`` as UTF-8; an unwritable path is a usage error."""
+    """Write the strings ``chunks`` to ``path`` as UTF-8; an unwritable path is a usage error.
+
+    An existing file is overwritten in place, not truncated first: a regular
+    file is cut at the end of what was written, also when writing fails, so
+    it keeps its inode, links and mode and never a tail of its old bytes.
+    Devices and pipes are only written to.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
+        with open(path, "w", encoding="utf-8", opener=_open_in_place) as f:
+            fd = f.fileno()
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                f.writelines(chunks)
+                f.flush()
+            except BaseException:
+                if regular:
+                    with suppress(OSError):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                raise
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
 

@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot write {out}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/null and /dev/full devices")
+    @pytest.mark.parametrize("command", ["determinize", "dot"])
+    def test_device_outputs(self, inf_a_file, capsys, command):
+        """Devices are written to as before: /dev/null takes everything, /dev/full is a usage error."""
+        assert main([command, inf_a_file, "-o", "/dev/null"]) == OK
+        assert capsys.readouterr().err == ""
+        assert main([command, inf_a_file, "-o", "/dev/full"]) == USAGE
+        assert capsys.readouterr().err == "usage error: cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_output_to_standard_output_pipe(self, inf_a_file, tmp_path, capsys):
+        """-o /dev/stdout with the standard output a pipe sends the document down the pipe."""
+        out = tmp_path / "det.json"
+        assert main(["determinize", inf_a_file, "-o", str(out)]) == OK
+        summary, doc = capsys.readouterr().out.encode(), out.read_bytes()
+        src = str(Path(obat.__file__).resolve().parents[1])
+        code = "import sys\nfrom obat.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "determinize", inf_a_file, "-o", "/dev/stdout"],
+            capture_output=True,
+            env={"PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (OK, b"")
+        assert doc in done.stdout and done.stdout.replace(doc, b"", 1) == summary
 
     def test_unknown_subcommand_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE

@@ -26,11 +26,9 @@ def test_public_names():
         "UsageError",
         "ValidationError",
         "apply_eps_completion",
-        "automata",
         "build_eps_tree",
         "check_eps_complete",
         "check_local_preference",
-        "convert",
         "delta",
         "determinize",
         "enumerate_up_words",
@@ -51,11 +49,9 @@ def test_public_names():
         "skeleton_oracle",
         "successors",
         "tile_of",
-        "tiles",
         "top_successor",
         "trans_leq",
         "unit_tile",
         "up",
         "upward_closure",
-        "verify",
     ]

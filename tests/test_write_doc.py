@@ -2,16 +2,21 @@
 
 The writer streams leaves and batches of scalar lists through the C JSON
 encoder, so it is checked differentially against ``json.dumps`` on every
-document shape the CLI writes and on the edges of its batching.
+document shape the CLI writes and on the edges of its batching.  An existing
+file is rewritten in place: it keeps its inode, links and mode, and no byte
+of its old content survives, even when the write fails.
 """
 
+import errno
 import json
+import os
+import stat
 import tracemalloc
 
 import pytest
 
 from obat import OrderedBuchiAutomaton, StateUniverse, unit_tile, upward_closure
-from obat.cli import _BATCH, oba_to_doc, parity_to_doc, write_doc
+from obat.cli import _BATCH, _write, oba_to_doc, parity_to_doc, write_doc
 from obat.convert import NotEpsComplete, horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
 from obat.determinize import apply_eps_completion, determinize
 from obat.tiles import UsageError
@@ -96,13 +101,20 @@ GROUPS = {
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_bytes_match_json_dumps(tmp_path, group):
+    """Written fresh, and over stale files twice as long, as long and half as long."""
     path = tmp_path / "out.json"
     written = 0
     for name, doc in GROUPS[group]():
         if doc is None:
             continue
+        expected = (json.dumps(doc, indent=2) + "\n").encode()
+        path.unlink(missing_ok=True)
         write_doc(doc, str(path))
-        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode(), name
+        assert path.read_bytes() == expected, name
+        for stale in (2 * len(expected), len(expected), len(expected) // 2):
+            path.write_bytes(b"#" * stale)
+            write_doc(doc, str(path))
+            assert path.read_bytes() == expected, (name, stale)
         written += 1
     assert written >= {"corpus": 190, "rabin": 2, "horizontal-complete": 10, "awkward": 7, "batch-edges": 6}[group]
 
@@ -120,3 +132,72 @@ def test_write_memory_stays_below_the_file_size(tmp_path):
     size = path.stat().st_size
     assert len(doc["transitions"]) == 8505 and size > 600_000
     assert peak < size / 4
+
+
+DOC = {"kind": "det-parity", "index": [0, 1], "transitions": [["q0", "a", 1, "q0"]]}
+EXPECTED = (json.dumps(DOC, indent=2) + "\n").encode()
+
+
+def test_rewrite_keeps_inode_links_and_mode(tmp_path):
+    path, link = tmp_path / "out.json", tmp_path / "link.json"
+    path.write_bytes(b"#" * 3 * len(EXPECTED))
+    path.chmod(0o604)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_doc(DOC, str(path))
+    assert path.read_bytes() == link.read_bytes() == EXPECTED
+    assert path.stat().st_ino == inode and path.stat().st_nlink == 2
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
+
+def test_symlinked_target_is_written_through(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"#" * 3 * len(EXPECTED))
+    link.symlink_to(target)
+    write_doc(DOC, str(link))
+    assert link.is_symlink() and target.read_bytes() == EXPECTED
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    path = tmp_path / "new.json"
+    old = os.umask(0o027)
+    try:
+        write_doc(DOC, str(path))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+    assert path.read_bytes() == EXPECTED
+
+
+def test_existing_file_is_not_opened_for_truncation(tmp_path, monkeypatch):
+    """The old file is overwritten and cut at the end, never emptied first by ``O_TRUNC``."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"#" * 3 * len(EXPECTED))
+    opened, real_open = [], os.open
+
+    def recording_open(name, flags, *args, **kwargs):
+        opened.append((name, flags))
+        return real_open(name, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    write_doc(DOC, str(path))
+    assert [name for name, _ in opened] == [str(path)]
+    assert not opened[0][1] & os.O_TRUNC
+    assert path.read_bytes() == EXPECTED
+
+
+@pytest.mark.parametrize("before_failure", [0, 3, 5000])
+def test_failed_write_leaves_no_old_tail(tmp_path, before_failure):
+    """A write that fails part-way leaves the chunks written so far, and none of the old bytes after them."""
+    path = tmp_path / "out.json"
+    chunks = [f"chunk {i}\n" for i in range(before_failure)]
+    path.write_bytes(b"#" * 2 * len("".join(chunks).encode()) + b"#" * 100)
+
+    def failing():
+        yield from chunks
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with pytest.raises(UsageError) as raised:
+        _write(str(path), failing())
+    assert str(raised.value) == f"cannot write {path}: No space left on device"
+    assert path.read_bytes() == "".join(chunks).encode()

@@ -202,11 +202,9 @@ def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
             )
     if not report.valid:  # reachability needs in-range states and same-universe tiles
         return report
-    # initial and successor sets are downward-closed: the reachable states are
-    # those up to the least r >= max(I) with top[r] <= r in every tile
-    reach, prev = max(a.initial, default=-1), None
-    while reach >= 0 and reach != prev:
-        prev, reach = reach, max([reach] + [tile.top[reach] for tile in a.alphabet.values()])
+    # initial and successor sets are downward-closed: every state up to the
+    # greatest one reached from max(I) is reachable
+    reach = max(_walk_from_initial(a)[0], default=-1)
     for q in range(reach + 1, a.universe.size):
         report.warnings.append(
             ValidationIssue("unreachable-state", f"state {names[q]} is unreachable from the initial set")
@@ -257,7 +255,8 @@ def _scc_partition(nodes, succ) -> dict:
 
 
 def _post(succ: dict, states: frozenset) -> frozenset:
-    """Image of ``states`` under a successor map (state -> frozenset of states)."""
+    """Image of ``states`` under a successor map: each state maps to its
+    successors, as a set or as a matrix row keyed by successor."""
     out: set = set()
     for p in states:
         out.update(succ.get(p, ()))
@@ -532,11 +531,6 @@ def _mat_key(a: _Matrix):
     return frozenset((p, q, vals) for p, row in a.items() for q, vals in row.items())
 
 
-def _support(a: _Matrix) -> dict[str, frozenset[str]]:
-    """Successor sets of a matrix: the entries that hold some value."""
-    return {p: frozenset(q for q, vals in row.items() if vals) for p, row in a.items()}
-
-
 class NpaOracle:
     """Exact UP-word membership for parity automata with ε-transitions.
 
@@ -546,14 +540,14 @@ class NpaOracle:
     reading); the period must contain at least one real letter.
 
     The prefix only decides where the period starts, so it is folded afresh
-    on every query as a state set through the support of each ε-closed
-    letter.  Period matrix entries collect every least-priority value
-    achievable between two states, so iterating powers of the period matrix
-    until they repeat covers every lasso shape.  The one cache is
-    ``_period``: per queried period its value-set matrix, that matrix's
-    support and its accepting states, built from the entry of the period
-    one letter shorter when there is one, since the matrix products are the
-    costly part of a query.
+    on every query as a state set through the rows of each ε-closed letter's
+    matrix.  No stored cell is ever empty, so a row's keys are exactly its
+    state's successors.  Period matrix entries collect every least-priority
+    value achievable between two states, so iterating powers of the period
+    matrix until they repeat covers every lasso shape.  The one cache is
+    ``_period``: per queried period its value-set matrix and its accepting
+    states, built from the entry of the period one letter shorter when there
+    is one, since the matrix products are the costly part of a query.
     """
 
     def __init__(self, a: ParityAutomaton):
@@ -567,8 +561,7 @@ class NpaOracle:
         self._eclosure = self._compute_eclosure()
         # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
-        self._letter_supp: dict[str, dict[str, frozenset[str]]] = {}
-        self._period: dict[tuple[str, ...], tuple] = {}  # period -> (matrix, support, accepting states)
+        self._period: dict[tuple[str, ...], tuple] = {}  # period -> (matrix, accepting states)
 
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
@@ -585,14 +578,8 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _support_of(self, x: str) -> dict[str, frozenset[str]]:
-        """Successor sets of the ε-closed letter ``x``: the prefix fold needs no priorities."""
-        if x not in self._letter_supp:
-            self._letter_supp[x] = _support(self._letter(x))
-        return self._letter_supp[x]
-
     def _entry(self, period: tuple[str, ...]):
-        """(matrix, support, accepting states) of a period.
+        """(matrix, accepting states) of a period.
 
         The accepting states are those with an even-value self-cycle over
         some power of the period matrix.
@@ -609,17 +596,17 @@ class NpaOracle:
         power = v
         seen = set()
         acc: set[str] = set()
-        while _mat_key(power) not in seen:
-            seen.add(_mat_key(power))
+        while (key := _mat_key(power)) not in seen:
+            seen.add(key)
             for q, row in power.items():
                 if any(val != _TOP and val % 2 == 0 for val in row.get(q, ())):
                     acc.add(q)
             power = _mat_mul(power, v)
-        entry = self._period[period] = (v, _support(v), frozenset(acc))
+        entry = self._period[period] = (v, frozenset(acc))
         return entry
 
     def _state(self, prefix: tuple[str, ...]) -> frozenset[str]:
-        return _fold(self.automaton.initial, (self._support_of(x) for x in prefix))
+        return _fold(self.automaton.initial, (self._letter(x) for x in prefix))
 
     def _check_period(self, period: tuple[str, ...]) -> None:
         _require_letters(self._letters, period)
@@ -627,8 +614,8 @@ class NpaOracle:
             raise UsageError("period must contain a non-ε letter")
 
     def _decide(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
-        _, supp, acc = self._entry(period)
-        return bool(_orbit_union(state, lambda s: _post(supp, s)) & acc)
+        v, acc = self._entry(period)
+        return bool(_orbit_union(state, lambda s: _post(v, s)) & acc)
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
         """The start set of the period: the states reachable after ``prefix``."""

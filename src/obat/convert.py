@@ -303,6 +303,13 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     transition when it is preferred to 2d-2.  The ε letter maps to the unit
     tile and the morphism covers it alongside the real alphabet.  One pass
     over the transitions adds each one's generators at every depth.
+
+    Any initial set is accepted: the converter closes it itself.  The
+    initial nodes are every node up to the greatest depth-1 node holding an
+    initial state, which is the ε-closure of I, since every ε-edge of an
+    ε-complete automaton lies within the priority-1 preorder.  Runs may take
+    finitely many ε-moves before the first letter, so the closure keeps the
+    language.
     """
     tree = build_eps_tree(a)
     state_order = {q: i for i, q in enumerate(a.states)}
@@ -313,13 +320,6 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     for node, i in idx.items():
         for q in node.members:
             at_depth[q][node.depth - 1] = i
-    for q in a.initial:
-        for q2 in a.states:  # the finest preorder orders states as their leaves do
-            if at_depth[q2][-1] <= at_depth[q][-1] and q2 not in a.initial:
-                raise UsageError(
-                    f"initial set not downward-closed for the finest ε-preorder: "
-                    f"{q!r} is initial, {q2!r} below it is not"
-                )
     # every node up to the greatest depth-1 node holding an initial state
     initial = frozenset(range(max((at_depth[q][0] for q in a.initial), default=-1) + 1))
 

@@ -61,6 +61,7 @@ from zoo import (
     rabin_two_pair,
     random_oba,
     random_tile,
+    rich_oba,
 )
 
 
@@ -276,3 +277,30 @@ def test_residual_total_order(corpus):
         for s1, s2 in itertools.combinations(sets, 2):
             assert s1 <= s2 or s2 <= s1, name
     return f"prefixes up to length 3 on {len(corpus)} automata"
+
+
+@criterion(12, "round trip: the ordered Büchi automaton converted back from the "
+               "ε-completed determinization recognises the same language")
+def test_round_trip(corpus):
+    rng = random.Random(5)
+    cases = list(corpus)
+    for n in (4, 5):
+        for i in range(5):
+            a = rich_oba(rng, n)
+            cases.append((f"rich-{n}-{i}", a, determinize(a)))
+    for name, a, det in cases:
+        back, morphism = parity_to_oba(apply_eps_completion(det))
+        letters = sorted(a.alphabet)
+        bounds = (2, 3) if len(letters) <= 3 else (1, 2)
+        cex = equiv_up(ObaOracle(a), ObaOracle(back, morphism), letters, *bounds)
+        assert cex is None, f"{name}: {cex}"
+    sizes = {}
+    for n in (2, 3, 4):
+        u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+        a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
+        back, morphism = parity_to_oba(apply_eps_completion(determinize(a)))
+        cex = equiv_up(ObaOracle(a), ObaOracle(back, morphism), sorted(a.alphabet), 1, 1)
+        assert cex is None, f"horizontal-complete |Q|={n}: {cex}"
+        sizes[n] = back.universe.size
+    assert sizes == {2: 6, 3: 14, 4: 35}
+    return f"{len(cases)} automata; horizontal-complete round-trip sizes {sizes}"

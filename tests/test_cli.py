@@ -229,6 +229,18 @@ class TestCommands:
         code = main(["equiv", str(src), str(out), "--max-prefix", "2", "--max-period", "3"])
         assert code == OK
 
+    def test_round_trip_through_eps_completion(self, tmp_path, capsys):
+        """determinize, eps-complete and convert parity give back an automaton equal to the source."""
+        src = tmp_path / "fig.json"
+        write_doc(oba_to_doc(fig_inf_aa_fin_bb()), str(src))
+        det, eps, back = (str(tmp_path / f"fig.{x}.json") for x in ("det", "eps", "oba"))
+        assert main(["determinize", str(src), "-o", det]) == OK
+        assert main(["eps-complete", det, "-o", eps]) == OK
+        assert main(["convert", "parity", eps, "-o", back]) == OK
+        capsys.readouterr()
+        assert main(["equiv", str(src), back, "--max-prefix", "2", "--max-period", "3"]) == OK
+        assert "equal within bounds" in capsys.readouterr().out
+
     def test_equiv_counterexample(self, inf_a_file, tmp_path, capsys):
         other = tmp_path / "other.json"
         other.write_text(
@@ -716,6 +728,7 @@ class TestHashSeedIndependence:
         (root / "rabin.json").write_text(json.dumps(rabin))
         argv += [
             ["convert", "parity", "eps-figure.json", "-o", "eps-figure.oba.json"],
+            ["determinize", "eps-figure.json"],
             ["convert", "parity", "genbuchi.json"],
             ["convert", "rabin", "rabin.json", "-o", "rabin.oba.json"],
             ["determinize", "rabin.oba.json", "-o", "rabin.det.json"],
@@ -752,6 +765,6 @@ class TestHashSeedIndependence:
         # success, not ε-complete or invalid, usage, validation error
         assert len(codes) == len(argv) and set(codes) == {b"0", b"1", b"2", b"3"}
         assert (out0, err0) == (out5, err5)
-        assert files0.keys() == files5.keys() and len(files0) == 23
+        assert files0.keys() == files5.keys() and len(files0) == 25
         for name in files0:
             assert files0[name] == files5[name], name

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -23,9 +24,10 @@ from obat.convert import (
     rabin_tile_generator,
     rabin_to_oba,
 )
+from obat.determinize import apply_eps_completion, determinize
 from obat.verify import enumerate_up_words, equiv_up
 
-from zoo import eps_complete_corpus, eps_figure, make_eps_complete, rabin_two_pair
+from zoo import determinization_corpus, eps_complete_corpus, eps_figure, make_eps_complete, rabin_two_pair
 
 
 class TestRabin:
@@ -219,15 +221,28 @@ class TestParityToOba:
             )
             assert cex is None, f"{name}: {cex}"
 
-    def test_initial_must_be_downward_closed_for_finest_preorder(self):
-        a = make_eps_complete(
-            ("x", "y"),
-            [[["x", "y"]], [["x"], ["y"]]],
-            {("x", "a", 0, "x")},
-            initial=("x",),  # y is below x at level 3 but not initial
-        )
-        with pytest.raises(UsageError):
-            parity_to_oba(a)
+    def test_any_initial_set_is_closed_by_the_converter(self):
+        """Every initial subset of the corpus automata and every single-state initial set
+        of the ε-completed determinizations: the OBA matches the NPA, which may take
+        ε-moves before the first letter."""
+        cases = [
+            (name, a, frozenset(init))
+            for name, a in eps_complete_corpus()
+            for k in range(len(a.states) + 1)
+            for init in itertools.combinations(a.states, k)
+        ]
+        cases += [
+            (name, det, frozenset({q}))
+            for name, a in determinization_corpus()
+            for det in [apply_eps_completion(determinize(a))]
+            for q in det.states
+        ]
+        for name, a, init in cases:
+            a = dataclasses.replace(a, initial=init)
+            oba, morphism = parity_to_oba(a)
+            cex = equiv_up(NpaOracle(a), ObaOracle(oba, morphism), sorted(a.effective_alphabet), 2, 3)
+            assert cex is None, f"{name} from {sorted(init)}: {cex}"
+        assert len(cases) == 168
 
 
 class TestIntertwine:

@@ -140,14 +140,6 @@ def ref_build_eps_tree(a):
 
 def ref_parity_to_oba(a):
     tree = ref_build_eps_tree(a)
-    rel_top = ref_relations(a).get(a.index[1], set())
-    for q in a.initial:
-        for q2 in a.states:
-            if (q, q2) in rel_top and q2 not in a.initial:
-                raise UsageError(
-                    f"initial set not downward-closed for the finest ε-preorder: "
-                    f"{q!r} is initial, {q2!r} below it is not"
-                )
     state_order = {q: i for i, q in enumerate(a.states)}
     names_desc = [n.label(state_order) for n in tree.nodes_desc]
     universe = StateUniverse(tuple(reversed(names_desc)))

@@ -187,7 +187,7 @@ class TestWalkDifferential:
         for oracle, grown in (
             (ObaOracle(a), {"_acc": 4}),
             (DpaOracle(det), {}),
-            (NpaOracle(apply_eps_completion(det)), {"_period": 4, "_letter_mat": 2, "_letter_supp": 2}),
+            (NpaOracle(apply_eps_completion(det)), {"_period": 4, "_letter_mat": 2}),
         ):
             sizes = [_container_sizes(oracle)]
             for i, u in enumerate(sorted(prefixes)):

@@ -22,7 +22,6 @@ from .tiles import (
     UsageError,
     ValidationError,
     is_buchi,
-    top_successor,
 )
 
 EPS = "eps"
@@ -85,12 +84,6 @@ class OrderedBuchiAutomaton:
     universe: StateUniverse
     initial: frozenset[int]
     alphabet: dict[str, Tile]
-
-    def tile(self, letter: str) -> Tile:
-        try:
-            return self.alphabet[letter]
-        except KeyError:
-            raise UsageError(f"unknown letter {letter!r}") from None
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -299,11 +292,10 @@ def _walk(m: int, tops) -> int:
     return m
 
 
-def _require_letters(letters: frozenset, *parts: tuple[str, ...]) -> None:
-    """Raise a usage error naming the first letter of ``parts`` outside ``letters``."""
-    for part in parts:
-        if not letters.issuperset(part):
-            raise UsageError(f"unknown letter {next(x for x in part if x not in letters)!r}")
+def _require_letters(letters: frozenset, word: tuple[str, ...]) -> None:
+    """Raise a usage error naming the first letter of ``word`` outside ``letters``."""
+    if not letters.issuperset(word):
+        raise UsageError(f"unknown letter {next(x for x in word if x not in letters)!r}")
 
 
 class ObaOracle:
@@ -335,16 +327,12 @@ class ObaOracle:
         self._letters = frozenset(self._top)
         self._acc: dict[tuple[str, ...], int] = {}
 
-    def _check_letters(self, *parts: tuple[str, ...]) -> None:
-        for part in parts:
-            if self._letters.issuperset(part):
-                continue
-            if self.morphism is not None:  # name a letter outside the domain, else the missing tile
-                _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
-            _require_letters(self._letters, part)
-
-    def _state(self, prefix: tuple[str, ...]) -> int:
-        return _walk(len(self.automaton.initial) - 1, map(self._top.__getitem__, prefix))
+    def _check_letters(self, word: tuple[str, ...]) -> None:
+        if self._letters.issuperset(word):
+            return
+        if self.morphism is not None:  # name a letter outside the domain, else the missing tile
+            _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(word))
+        _require_letters(self._letters, word)
 
     def _least_accepting(self, period: tuple[str, ...]) -> int:
         """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none."""
@@ -369,29 +357,24 @@ class ObaOracle:
         self._acc[period] = result
         return result
 
-    def _decide(self, state: int, period: tuple[str, ...]) -> bool:
-        # The period's composed top map f is monotone, so the orbit of m
-        # descends from m when f(m) <= m and otherwise climbs to a fixpoint.
-        tops = [self._top[letter] for letter in period]
-        boundary = state
-        while (nxt := _walk(boundary, tops)) > boundary:
-            boundary = nxt
-        return boundary >= self._least_accepting(period)
-
     def after(self, prefix: tuple[str, ...]) -> int:
         """The greatest state reachable after ``prefix``, all below it reachable too; -1 for none."""
         self._check_letters(prefix)
-        return self._state(prefix)
+        return _walk(len(self.automaton.initial) - 1, map(self._top.__getitem__, prefix))
 
     def accepts(self, state: int, period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the states up to ``state``."""
         self._check_letters(period)
-        return self._decide(state, period)
+        # The period's composed top map f is monotone, so the orbit of m
+        # descends from m when f(m) <= m and otherwise climbs to a fixpoint.
+        tops = [self._top[letter] for letter in period]
+        while (nxt := _walk(state, tops)) > state:
+            state = nxt
+        return state >= self._least_accepting(period)
 
     def member(self, w: UPWord) -> bool:
-        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
-        self._check_letters(w.prefix, w.period)
-        return self._decide(self._state(w.prefix), w.period)
+        """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""
+        return self.accepts(self.after(w.prefix), w.period)
 
     __call__ = member
 
@@ -401,14 +384,8 @@ def omega_power_accepts(a: OrderedBuchiAutomaton, t: Tile) -> bool:
     return any(is_buchi(t, q, q) for q in a.initial)
 
 
-def residual_initial_set(a: OrderedBuchiAutomaton, word) -> frozenset[int]:
-    """Initial set of the residual after a finite word: reachable set, downward-closed."""
-    tops = [a.tile(letter).top for letter in word]
-    return frozenset(range(_walk(max(a.initial, default=-1), tops) + 1))
-
-
 def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
-    """States reached from max(I) under the letters' top-successor maps, and
+    """States reached from max(I) under the letters' ``top`` maps, and
     whether some letter's map is undefined on one of them.
 
     These are R_A and the kills-max(I) flag read by ``obat.determinize`` and
@@ -417,16 +394,16 @@ def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
     """
     if not a.initial:
         return frozenset(), True
-    tiles = [a.alphabet[x] for x in sorted(a.alphabet)]
+    tops = [a.alphabet[x].top for x in sorted(a.alphabet)]
     start = max(a.initial)
     reached = {start}
     frontier = [start]
     kills = False
     while frontier:
         q = frontier.pop()
-        for t in tiles:
-            r = top_successor(t, q)
-            if r is None:
+        for top in tops:
+            r = top[q]
+            if r < 0:
                 kills = True
             elif r not in reached:
                 reached.add(r)
@@ -449,26 +426,9 @@ class DpaOracle:
         (self._initial,) = d.initial
         self._letters = d.effective_alphabet
 
-    def _lasso_accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
-        if state is None:
-            return False
-        seen: dict[str, int] = {state: 0}
-        mins: list[int] = []
-        cur = state
-        while True:
-            lap_min = None
-            for letter in period:
-                hit = self._delta.get((cur, letter))
-                if hit is None:
-                    return False
-                c, cur = hit
-                lap_min = c if lap_min is None else min(lap_min, c)
-            mins.append(lap_min)
-            if cur in seen:
-                return min(mins[seen[cur]:]) % 2 == 0
-            seen[cur] = len(mins)
-
-    def _state(self, prefix: tuple[str, ...]) -> str | None:
+    def after(self, prefix: tuple[str, ...]) -> str | None:
+        """The run state after ``prefix``; None once the run has died."""
+        _require_letters(self._letters, prefix)
         state = self._initial
         for letter in prefix:
             hit = self._delta.get((state, letter))  # a dead run (None) has no successor
@@ -477,20 +437,29 @@ class DpaOracle:
             state = hit[1]
         return state
 
-    def after(self, prefix: tuple[str, ...]) -> str | None:
-        """The run state after ``prefix``; None once the run has died."""
-        _require_letters(self._letters, prefix)
-        return self._state(prefix)
-
     def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         """Whether the run from ``state`` on period^ω is accepting."""
         _require_letters(self._letters, period)
-        return self._lasso_accepts(state, period)
+        if state is None:
+            return False
+        seen: dict[str, int] = {state: 0}
+        mins: list[int] = []
+        while True:
+            lap_min = None
+            for letter in period:
+                hit = self._delta.get((state, letter))
+                if hit is None:
+                    return False
+                c, state = hit
+                lap_min = c if lap_min is None else min(lap_min, c)
+            mins.append(lap_min)
+            if state in seen:
+                return min(mins[seen[state]:]) % 2 == 0
+            seen[state] = len(mins)
 
     def member(self, w: UPWord) -> bool:
-        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
-        _require_letters(self._letters, w.prefix, w.period)
-        return self._lasso_accepts(self._state(w.prefix), w.period)
+        """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""
+        return self.accepts(self.after(w.prefix), w.period)
 
     __call__ = member
 
@@ -605,32 +574,21 @@ class NpaOracle:
         entry = self._period[period] = (v, frozenset(acc))
         return entry
 
-    def _state(self, prefix: tuple[str, ...]) -> frozenset[str]:
-        return _fold(self.automaton.initial, (self._letter(x) for x in prefix))
-
-    def _check_period(self, period: tuple[str, ...]) -> None:
-        _require_letters(self._letters, period)
-        if all(x == EPS for x in period):
-            raise UsageError("period must contain a non-ε letter")
-
-    def _decide(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
-        v, acc = self._entry(period)
-        return bool(_orbit_union(state, lambda s: _post(v, s)) & acc)
-
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
         """The start set of the period: the states reachable after ``prefix``."""
         _require_letters(self._letters, prefix)
-        return self._state(prefix)
+        return _fold(self.automaton.initial, (self._letter(x) for x in prefix))
 
     def accepts(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the state set ``state``."""
-        self._check_period(period)
-        return self._decide(state, period)
+        _require_letters(self._letters, period)
+        if all(x == EPS for x in period):
+            raise UsageError("period must contain a non-ε letter")
+        v, acc = self._entry(period)
+        return bool(_orbit_union(state, lambda s: _post(v, s)) & acc)
 
     def member(self, w: UPWord) -> bool:
-        """``accepts(after(w.prefix), w.period)``, with the letters of w checked as one word."""
-        _require_letters(self._letters, w.prefix)
-        self._check_period(w.period)
-        return self._decide(self._state(w.prefix), w.period)
+        """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""
+        return self.accepts(self.after(w.prefix), w.period)
 
     __call__ = member

@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("posi-check", help="sample the local preference properties")
     p.add_argument("file")
-    p.add_argument("--max-prefix", type=_int_at_least(0), default=2)
+    p.add_argument("--max-prefix", type=_int_at_least(1), default=2)
     p.add_argument("--max-period", type=_int_at_least(1), default=2)
     p.set_defaults(run=cmd_posi_check)
 

@@ -314,7 +314,11 @@ def check_local_preference(
     (3) u(vv')^ω in L implies uv^ω in L or uv'^ω in L.
 
     A necessary-condition sampler: an empty report means no violation was
-    found within the bounds, not a proof of Eve-positionality.
+    found within the bounds, not a proof of Eve-positionality.  The prefixes
+    u and the nonempty periods v, v' have length at most ``max_u``, so
+    max_u ≥ 1 is needed for any check: at 0 there is one prefix and no
+    period.  Continuations w have prefix length at most ``MAX_W_PREFIX`` and
+    period length at most ``max_period``.
     """
     report = PreferenceReport(
         bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": MAX_W_PREFIX}

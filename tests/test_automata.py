@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from obat import (
     ValidationError,
     oba_validate,
     omega_power_accepts,
-    residual_initial_set,
     tile_of,
     unit_tile,
     up,
@@ -22,7 +22,7 @@ from obat import (
 )
 from obat.verify import enumerate_up_words
 
-from zoo import inf_a, inf_a_oracle, random_oba
+from zoo import inf_a, inf_a_oracle, random_oba, reached_states
 
 
 class TestObaValidate:
@@ -121,25 +121,35 @@ class TestOmegaPower:
 
 
 class TestResiduals:
+    """The set reached after a word, found through the tiles' explicit transitions, is the
+    {0..m} that ``ObaOracle.after`` walks to, and these sets form a chain under inclusion."""
+
     def test_empty_word_gives_initial(self):
         a = inf_a()
-        assert residual_initial_set(a, ()) == a.initial
+        assert reached_states(a, ()) == a.initial == set(range(ObaOracle(a).after(()) + 1))
 
     def test_after_a(self):
-        assert residual_initial_set(inf_a(), ("a",)) == {0, 1}
+        a = inf_a()
+        assert reached_states(a, ("a",)) == {0, 1} == set(range(ObaOracle(a).after(("a",)) + 1))
+        a.initial = frozenset({0})
+        oracle = ObaOracle(a)
+        for word, m in [((), 0), (("b",), 0), (("a",), -1), (("b", "a"), -1), (("a", "b"), -1)]:
+            assert oracle.after(word) == m, word
+            assert reached_states(a, word) == set(range(m + 1)), word
 
     def test_totally_ordered(self):
         rng = random.Random(13)
         for _ in range(30):
             a = random_oba(rng)
-            sets = [
-                residual_initial_set(a, w)
-                for n in range(0, 4)
-                for w in __import__("itertools").product(sorted(a.alphabet), repeat=n)
-            ]
-            for s1 in sets:
-                for s2 in sets:
-                    assert s1 <= s2 or s2 <= s1
+            oracle = ObaOracle(a)
+            sets = []
+            for n in range(0, 4):
+                for w in itertools.product(sorted(a.alphabet), repeat=n):
+                    reached = reached_states(a, w)
+                    assert reached == set(range(oracle.after(w) + 1)), w
+                    sets.append(reached)
+            for s1, s2 in itertools.combinations(sets, 2):
+                assert s1 <= s2 or s2 <= s1
 
 
 def _single_loop(priority: int) -> ParityAutomaton:

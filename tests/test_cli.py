@@ -360,9 +360,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "must be at least" in captured.err and "equal within bounds" not in captured.out
 
+    def test_posi_check_prefix_bound_zero_usage(self, genbuchi_file, capsys):
+        """posi-check bounds its periods by --max-prefix too, so 0 would check nothing."""
+        assert main(["posi-check", genbuchi_file, "--max-prefix", "0"]) == USAGE
+        captured = capsys.readouterr()
+        assert "must be at least 1, got 0" in captured.err and "no violation" not in captured.out
+
     def test_smallest_enumeration_bounds_accepted(self, inf_a_file, capsys):
         assert main(["equiv", inf_a_file, inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
-        assert main(["posi-check", inf_a_file, "--max-prefix", "0", "--max-period", "1"]) == OK
+        assert main(["posi-check", inf_a_file, "--max-prefix", "1", "--max-period", "1"]) == OK
 
     @pytest.mark.parametrize("entry", [[0, 0, 5], [-1, 1, 0], [0, 7, 0]])
     @pytest.mark.parametrize("key", ["skeleton", "transitions"])

@@ -94,13 +94,12 @@ class RefObaOracle:
         self._letters = frozenset(self._succ)
         self._acc = {}
 
-    def _check_letters(self, *parts):
-        for part in parts:
-            if self._letters.issuperset(part):
-                continue
-            if self.morphism is not None:
-                _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(*parts))
-            _require_letters(self._letters, part)
+    def _check_letters(self, word):
+        if self._letters.issuperset(word):
+            return
+        if self.morphism is not None:
+            _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(word))
+        _require_letters(self._letters, word)
 
     def _state(self, prefix):
         return _fold(self.automaton.initial, (self._succ[letter] for letter in prefix))
@@ -136,8 +135,7 @@ class RefObaOracle:
         return self._decide(state, period)
 
     def member(self, w):
-        self._check_letters(w.prefix, w.period)
-        return self._decide(self._state(w.prefix), w.period)
+        return self.accepts(self.after(w.prefix), w.period)
 
 
 # --- the comparison -------------------------------------------------------------------
@@ -162,9 +160,8 @@ def omega_power(a, m, t):
 def _check(name, a, words, morphism=None):
     """The verdicts (or usage messages) of ``member``, each equal to the reference's.
 
-    The split is compared with the reference's split, which may name a
-    different bad letter than ``member`` does, and its verdicts with the
-    reference's ``member``; ``accepts(m, v)`` equals :func:`omega_power`
+    The split is compared with the reference's split, and its verdicts with
+    the reference's ``member``; ``accepts(m, v)`` equals :func:`omega_power`
     on the product of v's tiles at every m.
     """
     ref, whole, split = RefObaOracle(a, morphism), ObaOracle(a, morphism), ObaOracle(a, morphism)

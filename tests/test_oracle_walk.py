@@ -233,11 +233,16 @@ class TestMorphismFold:
         assert "not in morphism domain" in capsys.readouterr().err
 
 
-def _flavours(a):
-    """Factories for the three oracles of ``a``: itself, its determinization, that one ε-completed."""
+def _flavours(a, morphism=None):
+    """Factories for the three oracles of ``a``: itself (through ``morphism``), its
+    determinization, that one ε-completed."""
     det = determinize(a)
     aug = apply_eps_completion(det)
-    return [("oba", lambda: ObaOracle(a)), ("dpa", lambda: DpaOracle(det)), ("npa", lambda: NpaOracle(aug))]
+    return [
+        ("oba", lambda: ObaOracle(a, morphism)),
+        ("dpa", lambda: DpaOracle(det)),
+        ("npa", lambda: NpaOracle(aug)),
+    ]
 
 
 def _assert_split_agrees(make, words, flavour, intertwined=True):
@@ -304,10 +309,32 @@ class TestSplitAgreesWithMember:
                 oracle.accepts(oracle.after(w.prefix), w.period)
             assert str(split.value) == str(whole.value), w
 
-    def test_unmapped_period_letter_named_before_a_missing_tile(self):
+    @pytest.mark.parametrize("flavour", ["oba", "dpa", "npa"])
+    def test_prefix_letter_named_before_the_period_letter(self, flavour):
+        """A bad letter in each part: ``member``, ``after`` and the split name the prefix's.
+
+        The OBA is asked through its morphism, so its bad letters are outside the domain.
+        """
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        make = dict(_flavours(oba, morphism))[flavour]
+        good = min(morphism.as_dict()) if flavour == "oba" else min(oba.alphabet)
+        want = "letter 'zz' not in morphism domain" if flavour == "oba" else "unknown letter 'zz'"
+        for w in [up(("zz",), ("yy",)), up((good, "zz"), (good, "yy"))]:
+            for ask in (
+                lambda o: o.member(w),
+                lambda o: o.after(w.prefix),
+                lambda o: o.accepts(o.after(w.prefix), w.period),
+            ):
+                with pytest.raises(UsageError) as e:
+                    ask(make())
+                assert str(e.value) == want, w
+
+    def test_missing_prefix_tile_named_before_period(self):
         oba, _ = rabin_to_oba(rabin_two_pair())
         oracle = ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
-        with pytest.raises(UsageError, match="'zz' not in morphism domain"):
+        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
             oracle(up(("x",), ("zz",)))
+        with pytest.raises(UsageError, match="'zz' not in morphism domain"):
+            oracle(up((), ("zz",)))
         with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
             oracle.after(("x",))

@@ -44,7 +44,6 @@ def test_public_names():
         "rabin_to_oba",
         "reachable_residuals",
         "record_count_bound",
-        "residual_initial_set",
         "skeleton",
         "skeleton_oracle",
         "successors",

@@ -38,6 +38,14 @@ def inf_a_oracle(w: UPWord) -> bool:
     return "a" in w.period
 
 
+def reached_states(a: OrderedBuchiAutomaton, word) -> frozenset[int]:
+    """The states reached from the initial set on ``word``, through each tile's explicit transitions."""
+    states = a.initial
+    for x in word:
+        states = frozenset(q for (p, _, q) in a.alphabet[x].transitions if p in states)
+    return states
+
+
 def _cyclic_factor(period: tuple[str, ...], factor: str) -> bool:
     s = "".join(period)
     return factor in (s + s)[: len(s) + len(factor) - 1]

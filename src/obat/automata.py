@@ -9,7 +9,8 @@ the determinization.
 
 An oracle folds each query's prefix from its start state with no memo, so a
 long-lived oracle holds nothing per distinct prefix; its only cache that
-grows with queries is keyed by period (see each class).
+grows with queries is keyed by period, or for ``ObaOracle`` by a period's
+class under rotation and power (see each class).
 """
 
 from __future__ import annotations
@@ -292,6 +293,24 @@ def _walk(m: int, tops) -> int:
     return m
 
 
+def _conjugacy_key(period: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+    """The least rotation of the period's primitive root, and the offset of the root in it.
+
+    The primitive root is the shortest w with period = w^k; for the returned
+    (key, o), w = key[o:] + key[:o].
+    """
+    n = len(period)
+    root = period
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and period[d:] == period[:-d]:  # period = period[:d]^(n/d)
+            root = period[:d]
+            break
+    length = len(root)
+    doubled, first = root + root, min(root)
+    key, s = min((doubled[i:i + length], i) for i, x in enumerate(root) if x == first)
+    return key, (length - s) % length
+
+
 def _require_letters(letters: frozenset, word: tuple[str, ...]) -> None:
     """Raise a usage error naming the first letter of ``word`` outside ``letters``."""
     if not letters.issuperset(word):
@@ -308,10 +327,17 @@ class ObaOracle:
     splits a query the same way.  u·v^ω is accepted iff some period-boundary
     state, one of {0..b} for b the greatest state on the orbit of m under
     v's composed top map, lies in a strongly connected component of the
-    period-unrolled graph that contains a Büchi edge.  The one cache is
-    ``_acc``, the least such state per period, because that SCC search is
+    period-unrolled graph that contains a Büchi edge.  That SCC search is
     the costly part of a query and recurs across the prefixes of an
-    enumeration.  A morphism is folded into the letter table at
+    enumeration, so the one cache, ``_acc``, holds its answer per conjugacy
+    class of periods.  The key is the least rotation of the period's
+    primitive root, and its value has one entry per position j of the key:
+    the least q with (q, j) in such an SCC of the key's unrolled graph.  A
+    rotation's unrolled graph is the key's with its positions shifted, and a
+    closed walk over v^k projects to one over v while a closed walk over v,
+    repeated k times, is one over v^k; so a period answers with the entry at
+    the offset where its root starts in the key, and one search serves every
+    rotation and power.  A morphism is folded into the letter table at
     construction, so its letters index the tiles directly.
     """
 
@@ -325,7 +351,7 @@ class ObaOracle:
         self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
         self._top = {x: tile.top for x, tile in self._tile.items()}
         self._letters = frozenset(self._top)
-        self._acc: dict[tuple[str, ...], int] = {}
+        self._acc: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def _check_letters(self, word: tuple[str, ...]) -> None:
         if self._letters.issuperset(word):
@@ -336,26 +362,34 @@ class ObaOracle:
 
     def _least_accepting(self, period: tuple[str, ...]) -> int:
         """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none."""
-        if period in self._acc:
-            return self._acc[period]
-        a = self.automaton
-        length = len(period)
-        succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        buchi_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-        for i, letter in enumerate(period):
-            tile = self._tile[letter]
-            j = (i + 1) % length
-            for (p, c, q) in tile.transitions:
-                node, nxt = (p, i), (q, j)
-                succ.setdefault(node, []).append(nxt)
-                if c == 0:
-                    buchi_edges.append((node, nxt))
-        nodes = [(q, i) for q in range(a.universe.size) for i in range(length)]
-        comp = _scc_partition(nodes, succ)
-        good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
-        result = next((q for q in range(a.universe.size) if comp[(q, 0)] in good), a.universe.size)
-        self._acc[period] = result
-        return result
+        table = self._acc.get(period)
+        if table is not None:  # the period is its class's key: offset 0
+            return table[0]
+        key, offset = _conjugacy_key(period)
+        table = self._acc.get(key)
+        if table is None:
+            a = self.automaton
+            length = len(key)
+            succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
+            buchi_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
+            for i, letter in enumerate(key):
+                tile = self._tile[letter]
+                j = (i + 1) % length
+                for (p, c, q) in tile.transitions:
+                    node, nxt = (p, i), (q, j)
+                    succ.setdefault(node, []).append(nxt)
+                    if c == 0:
+                        buchi_edges.append((node, nxt))
+            nodes = [(q, i) for q in range(a.universe.size) for i in range(length)]
+            comp = _scc_partition(nodes, succ)
+            good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
+            least = [a.universe.size] * length
+            if good:
+                for q, i in reversed(nodes):  # q descends, so the least q is written last
+                    if comp[(q, i)] in good:
+                        least[i] = q
+            table = self._acc[key] = tuple(least)
+        return table[offset]
 
     def after(self, prefix: tuple[str, ...]) -> int:
         """The greatest state reachable after ``prefix``, all below it reachable too; -1 for none."""

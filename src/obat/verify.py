@@ -246,8 +246,13 @@ def equiv_up(
 
     The verdict on u·v^ω depends only on the states after u and on v, so the
     periods are compared once per distinct pair of prefix states; the
-    prefixes are still scanned in order, which keeps the first word.
+    prefixes are still scanned in order, which keeps the first word.  Bounds
+    that compare nothing, max_prefix < 0 or max_period < 1, are usage errors.
     """
+    if max_prefix < 0 or max_period < 1:
+        raise UsageError(
+            f"equiv_up needs max_prefix >= 0 and max_period >= 1, got {max_prefix} and {max_period}"
+        )
     (after1, accepts1), (after2, accepts2) = split_oracle(m1), split_oracle(m2)
     periods = list(finite_words(alphabet, max_period, min_len=1))
     first: dict = {}  # pair of prefix states -> first period they disagree on, or None
@@ -315,11 +320,15 @@ def check_local_preference(
 
     A necessary-condition sampler: an empty report means no violation was
     found within the bounds, not a proof of Eve-positionality.  The prefixes
-    u and the nonempty periods v, v' have length at most ``max_u``, so
-    max_u ≥ 1 is needed for any check: at 0 there is one prefix and no
-    period.  Continuations w have prefix length at most ``MAX_W_PREFIX`` and
-    period length at most ``max_period``.
+    u and the nonempty periods v, v' have length at most ``max_u``, and
+    continuations w have prefix length at most ``MAX_W_PREFIX`` and period
+    length at most ``max_period``.  Bounds that check nothing, max_u < 1
+    (one prefix and no period) or max_period < 1, are usage errors.
     """
+    if max_u < 1 or max_period < 1:
+        raise UsageError(
+            f"check_local_preference needs max_u >= 1 and max_period >= 1, got {max_u} and {max_period}"
+        )
     report = PreferenceReport(
         bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": MAX_W_PREFIX}
     )

@@ -5,7 +5,7 @@ per letter, prefixes folded as explicit state sets, and the period-boundary
 states as the union of the orbit of the prefix's set, met with the
 frozenset of accepting boundary states per period.  The library holds a
 state set as its greatest state instead (every reachable set is {0..m}) and
-keeps one integer per period.  Both must give the same verdict, or raise
+keeps one table per class of periods.  Both must give the same verdict, or raise
 the same usage error, on every query, and ``accepts(after(u), v)`` must
 equal the reference's ``member``, on the zoo, the 54-automaton corpus,
 seeded random automata with up to six states, the horizontal-complete
@@ -17,6 +17,12 @@ candidate replacement for its SCC search: v^ω is accepted from {0..m} iff
 the automaton with initial set {0..m} accepts t_v^ω for t_v the product of
 v's tiles (``omega_power_accepts``), for every m from -1, where nothing is
 accepted, to |Q| - 1.
+
+The library runs that SCC search once per class of periods under rotation
+and power and reads each period's answer from the class's table;
+``per_period_least_accepting`` keeps the search it did once per period, and
+every period up to five letters, asked in shuffled order, must get the same
+answer from both.
 """
 
 import functools
@@ -36,7 +42,7 @@ from obat import (
 )
 from obat.automata import _require_letters, _scc_partition
 from obat.convert import horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
-from obat.verify import enumerate_up_words
+from obat.verify import enumerate_up_words, finite_words
 
 from test_oracle_walk import _long_words
 from zoo import (
@@ -136,6 +142,29 @@ class RefObaOracle:
 
     def member(self, w):
         return self.accepts(self.after(w.prefix), w.period)
+
+
+def per_period_least_accepting(oracle, period):
+    """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none.
+
+    The library's search before it was shared per conjugacy class: one SCC
+    partition of this period's own unrolled graph, nothing cached.
+    """
+    a = oracle.automaton
+    length = len(period)
+    succ, buchi_edges = {}, []
+    for i, letter in enumerate(period):
+        tile = oracle._tile[letter]
+        j = (i + 1) % length
+        for (p, c, q) in tile.transitions:
+            node, nxt = (p, i), (q, j)
+            succ.setdefault(node, []).append(nxt)
+            if c == 0:
+                buchi_edges.append((node, nxt))
+    nodes = [(q, i) for q in range(a.universe.size) for i in range(length)]
+    comp = _scc_partition(nodes, succ)
+    good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
+    return next((q for q in range(a.universe.size) if comp[(q, 0)] in good), a.universe.size)
 
 
 # --- the comparison -------------------------------------------------------------------
@@ -268,3 +297,37 @@ def test_initial_set_not_downward_closed_is_a_usage_error(initial):
     a = OrderedBuchiAutomaton(u, frozenset(initial), {})
     with pytest.raises(UsageError, match=r"initial set \{0..k-1\} inside the universe"):
         ObaOracle(a)
+
+
+def _is_lyndon(v):
+    """Primitive and strictly below each of its proper rotations."""
+    return all(v < v[i:] + v[:i] for i in range(1, len(v)))
+
+
+def _check_class_tables(name, a, rng, max_period=5):
+    """Every period up to ``max_period`` letters, in shuffled order, gets the per-period
+    answer, and the cache ends with one table per class, keyed by its Lyndon word."""
+    oracle = ObaOracle(a)
+    periods = list(finite_words(sorted(a.alphabet), max_period, min_len=1))
+    rng.shuffle(periods)
+    for v in periods:
+        assert oracle._least_accepting(v) == per_period_least_accepting(oracle, v), (name, v)
+    assert set(oracle._acc) == {v for v in periods if _is_lyndon(v)}, name
+    return len(periods)
+
+
+def test_class_tables_on_random_automata():
+    rng = random.Random(20261106)
+    sizes, pairs = set(), 0
+    for i in range(100):
+        a = random_oba(rng, max_states=6)
+        sizes.add((a.universe.size, len(a.alphabet)))
+        pairs += _check_class_tables(f"random-{i}", a, rng)
+    assert {n for n, _ in sizes} == {1, 2, 3, 4, 5, 6} and {k for _, k in sizes} == {1, 2, 3}
+    assert pairs > 10000
+
+
+def test_class_tables_on_corpus():
+    rng = random.Random(20261107)
+    for name, a in determinization_corpus():
+        _check_class_tables(name, a, rng)

@@ -32,7 +32,7 @@ from obat import (
 from obat.automata import _TOP, _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
-from obat.verify import enumerate_up_words
+from obat.verify import enumerate_up_words, equiv_up
 
 from zoo import (
     determinization_corpus,
@@ -175,19 +175,20 @@ class TestWalkDifferential:
                 assert npa(intertwine(w)) == want, (name, w)
 
     def test_state_grows_only_with_distinct_periods(self):
-        """5,000 distinct prefixes over four periods: the per-period cache holds four entries,
-        the NPA letter tables one per letter, and the last 4,000 prefixes add nothing."""
+        """5,000 distinct prefixes over seven periods in four classes under rotation and power:
+        the OBA's per-class cache holds four entries, the NPA's per-period cache seven and its
+        letter tables one per letter, and the last 4,000 prefixes add nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
         rng = random.Random(20261020)
         prefixes: set = set()
         while len(prefixes) < 5000:
             prefixes.add(tuple(rng.choices("ab", k=rng.randint(0, 40))))
-        periods = [("a",), ("b",), ("a", "b"), ("b", "b", "a")]
+        periods = [("a",), ("b",), ("a", "b"), ("b", "b", "a"), ("b", "a"), ("a", "b", "b"), ("a", "a")]
         for oracle, grown in (
             (ObaOracle(a), {"_acc": 4}),
             (DpaOracle(det), {}),
-            (NpaOracle(apply_eps_completion(det)), {"_period": 4, "_letter_mat": 2}),
+            (NpaOracle(apply_eps_completion(det)), {"_period": 7, "_letter_mat": 2}),
         ):
             sizes = [_container_sizes(oracle)]
             for i, u in enumerate(sorted(prefixes)):
@@ -198,6 +199,15 @@ class TestWalkDifferential:
             name = type(oracle).__name__
             assert sizes[1] == sizes[2], name
             assert {k: n for k, n in sizes[2].items() if n != sizes[0][k]} == grown, name
+
+    def test_equiv_searches_once_per_class(self):
+        """One ``equiv_up`` over three letters at bounds 2/3 asks all 39 periods of each prefix
+        state but leaves one table per class: the 3 + 3 + 8 least rotations of primitive words
+        of length 1, 2 and 3."""
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        oracle = ObaOracle(oba)
+        assert equiv_up(oracle, DpaOracle(determinize(oba)), oba.letters, 2, 3) is None
+        assert len(oracle._acc) == 14
 
 
 class TestMorphismFold:

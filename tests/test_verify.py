@@ -124,6 +124,39 @@ class TestLocalPreference:
         assert any(v.prop == 3 for v in report.violations)
 
 
+class TestVacuousBounds:
+    """A bound under which the enumeration compares nothing is a usage error,
+    not an empty answer read as "equal" or "no violation found"."""
+
+    @staticmethod
+    def equiv(**bounds):
+        bounds = {"max_prefix": 0, "max_period": 1, **bounds}
+        return equiv_up(ObaOracle(inf_a()), lambda w: False, "ab", **bounds)
+
+    @staticmethod
+    def preference(**bounds):
+        return check_local_preference(genbuchi_oracle, "ab", **{"max_u": 1, "max_period": 1, **bounds})
+
+    def test_least_bounds_already_find_the_faults(self):
+        assert self.equiv() == up((), "a")
+        violations = self.preference().violations
+        assert (violations[0].prop, violations[0].witness) == (3, {"u": (), "v": ("a",), "v'": ("b",)})
+
+    @pytest.mark.parametrize(
+        "run, bound",
+        [
+            ("equiv", {"max_prefix": -1}),
+            ("equiv", {"max_period": 0}),
+            ("preference", {"max_u": 0}),
+            ("preference", {"max_period": 0}),
+        ],
+    )
+    def test_rejected(self, run, bound):
+        name = "equiv_up" if run == "equiv" else "check_local_preference"
+        with pytest.raises(UsageError, match=f"{name} needs"):
+            getattr(self, run)(**bound)
+
+
 # --- the split enumerations against the per-word ones ---------------------------
 
 

@@ -27,9 +27,6 @@ from .tiles import (
 
 EPS = "eps"
 
-# neutral element for min over priorities; odd so it can never look accepting
-_TOP = (1 << 30) | 1
-
 
 @dataclass(frozen=True)
 class UPWord:
@@ -324,11 +321,12 @@ class ObaOracle:
     state set is held as its greatest state m (-1 for none): ``after(u)``
     walks max(I) through the letters' ``top`` maps and ``accepts(m, v)``
     decides the rest, so ``member`` is their composition; every oracle here
-    splits a query the same way.  u·v^ω is accepted iff some period-boundary
-    state, one of {0..b} for b the greatest state on the orbit of m under
-    v's composed top map, lies in a strongly connected component of the
-    period-unrolled graph that contains a Büchi edge.  That SCC search is
-    the costly part of a query and recurs across the prefixes of an
+    splits a query the same way.  u·v^ω is accepted iff some state q ≤ m at
+    a period boundary lies in a strongly connected component of the
+    period-unrolled graph that contains a Büchi edge; later boundaries add
+    nothing, since when v's composed top map f raises m, the transition
+    (m, c, f(m)) of v's tile dominates (m, 0, m).  That SCC search is the
+    costly part of a query and recurs across the prefixes of an
     enumeration, so the one cache, ``_acc``, holds its answer per conjugacy
     class of periods.  The key is the least rotation of the period's
     primitive root, and its value has one entry per position j of the key:
@@ -399,11 +397,6 @@ class ObaOracle:
     def accepts(self, state: int, period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the states up to ``state``."""
         self._check_letters(period)
-        # The period's composed top map f is monotone, so the orbit of m
-        # descends from m when f(m) <= m and otherwise climbs to a fixpoint.
-        tops = [self._top[letter] for letter in period]
-        while (nxt := _walk(state, tops)) > state:
-            state = nxt
         return state >= self._least_accepting(period)
 
     def member(self, w: UPWord) -> bool:
@@ -560,7 +553,8 @@ class NpaOracle:
             row = self._rel.setdefault(x, {}).setdefault(p, {})
             row[q] = row.get(q, frozenset()) | {c}
         self._letters = a.effective_alphabet | {EPS} | set(self._rel)
-        self._unit: _Matrix = {p: {p: frozenset({_TOP})} for p in a.states}
+        # the unit of min: odd, so it never looks accepting, and above every priority of the index
+        self._unit: _Matrix = {p: {p: frozenset({(a.index[1] + 1) | 1})} for p in a.states}
         self._eclosure = self._compute_eclosure()
         # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
@@ -602,7 +596,7 @@ class NpaOracle:
         while (key := _mat_key(power)) not in seen:
             seen.add(key)
             for q, row in power.items():
-                if any(val != _TOP and val % 2 == 0 for val in row.get(q, ())):
+                if any(val % 2 == 0 for val in row.get(q, ())):
                     acc.add(q)
             power = _mat_mul(power, v)
         entry = self._period[period] = (v, frozenset(acc))

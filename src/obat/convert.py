@@ -1,8 +1,8 @@
 """Constructions into ordered Büchi automata.
 
 Three routes in: Rabin pair specifications (one self-loop state per pair plus
-a waiting state), ε-complete parity automata (through the tree of odd-priority
-equivalence classes), and the horizontal-complete alphabets used by the
+a waiting state), ε-complete parity automata (whose states become the classes
+of their odd ε-preorders), and the horizontal-complete alphabets used by the
 optimality experiment.  Every conversion returns the automaton together with
 the morphism renaming external letters into tile letters.
 """
@@ -226,64 +226,18 @@ def check_eps_complete(a: ParityAutomaton) -> EpsReport:
     return EpsReport(_eps_violations(a, *_eps_table(a)))
 
 
-# --- ε-tree and the parity-to-ordered-Büchi translation ---------------------
+# --- the parity-to-ordered-Büchi translation -------------------------------
 
 
-@dataclass(frozen=True)
-class EpsNode:
-    """One odd-priority equivalence class: depth d holds the (2d-1)-classes."""
-
-    depth: int
-    members: frozenset[str]
-
-    def label(self, state_order: dict[str, int]) -> str:
-        inner = ",".join(sorted(self.members, key=state_order.get))
-        return f"{{{inner}}}_{self.depth}"
-
-
-@dataclass
-class EpsTree:
-    """Tree of odd classes; ``nodes_desc`` is the node order, greatest first.
-
-    The descending order is the depth-first traversal that visits a node
-    before its children and higher siblings before lower ones.
-    """
-
-    nodes_desc: tuple[EpsNode, ...]
-    children: dict[EpsNode, tuple[EpsNode, ...]]
-    parent: dict[EpsNode, EpsNode | None]
-
-    @property
-    def depth(self) -> int:
-        return max((n.depth for n in self.nodes_desc), default=0)
-
-
-def build_eps_tree(a: ParityAutomaton) -> EpsTree:
-    """Stratify an ε-complete automaton into its tree of odd classes.
-
-    A state's rank at an odd level is the size of its down-set there, so the
-    depth-d node of a state is the set of states sharing its first d ranks.
-    Sorting those rank prefixes descending, each before its extensions, gives
-    the depth-first order.
-    """
+def _odd_ranks(a: ParityAutomaton) -> list[tuple[int, ...]]:
+    """Each state's rank vector, in declaration order: its down-set's size at
+    every odd level.  Raises :class:`NotEpsComplete` naming every failed axiom."""
     states, table = _eps_table(a)
     violations = _eps_violations(a, states, table)
     if violations:
         raise NotEpsComplete(EpsReport(violations))
     rows = [table.get(c, [0] * len(states)) for c in range(1, a.index[1] + 1, 2)]
-    members: dict[tuple[int, ...], set[str]] = {}
-    for i, q in enumerate(states):
-        rank = tuple(row[i].bit_count() for row in rows)
-        for d in range(1, len(rank) + 1):
-            members.setdefault(rank[:d], set()).add(q)
-    desc = sorted(members, key=lambda k: [-r for r in k])
-    node = {k: EpsNode(len(k), frozenset(members[k])) for k in desc}
-    parent = {n: node.get(k[:-1]) for k, n in node.items()}
-    children: dict[EpsNode, list[EpsNode]] = {n: [] for n in parent}
-    for kid, up in parent.items():
-        if up is not None:
-            children[up].append(kid)
-    return EpsTree(tuple(node.values()), {n: tuple(kids) for n, kids in children.items()}, parent)
+    return [tuple(row[i].bit_count() for row in rows) for i in range(len(states))]
 
 
 def pref_leq(c: int, x: int) -> bool:
@@ -297,12 +251,16 @@ def pref_leq(c: int, x: int) -> bool:
 def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     """Translate an ε-complete parity automaton into an ordered Büchi automaton.
 
-    States are the ε-tree nodes under the traversal order.  A letter connects
-    two depth-d nodes with priority 1 when some underlying transition between
-    their members carries a priority preferred to 2d-1, and with a Büchi
-    transition when it is preferred to 2d-2.  The ε letter maps to the unit
-    tile and the morphism covers it alongside the real alphabet.  One pass
-    over the transitions adds each one's generators at every depth.
+    States are the classes of the odd ε-preorders, labelled ``{members}_d``:
+    a state's depth-d node holds the states whose :func:`_odd_ranks` share
+    its first d entries.  They ascend in the reverse of the depth-first order
+    that visits a node before its extensions, greater classes first.  A
+    letter connects two depth-d nodes with priority 1 when some underlying
+    transition between their members carries a priority preferred to 2d-1,
+    and with a Büchi transition when it is preferred to 2d-2.  The ε letter
+    maps to the unit tile and the morphism covers it alongside the real
+    alphabet.  One pass over the transitions adds each one's generators at
+    every depth.
 
     Any initial set is accepted: the converter closes it itself.  The
     initial nodes are every node up to the greatest depth-1 node holding an
@@ -311,15 +269,16 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     finitely many ε-moves before the first letter, so the closure keeps the
     language.
     """
-    tree = build_eps_tree(a)
-    state_order = {q: i for i, q in enumerate(a.states)}
-    nodes_desc = tree.nodes_desc
-    universe = StateUniverse(tuple(n.label(state_order) for n in reversed(nodes_desc)))
-    idx = {node: len(nodes_desc) - 1 - k for k, node in enumerate(nodes_desc)}
-    at_depth = {q: [0] * tree.depth for q in a.states}  # each state's node index per depth
-    for node, i in idx.items():
-        for q in node.members:
-            at_depth[q][node.depth - 1] = i
+    ranks = _odd_ranks(a)
+    members: dict[tuple[int, ...], list[str]] = {}  # rank prefix -> its states in declaration order
+    for q, rank in zip(a.states, ranks):
+        for d in range(1, len(rank) + 1):
+            members.setdefault(rank[:d], []).append(q)
+    nodes = sorted(members, key=lambda k: [-r for r in k], reverse=True)
+    universe = StateUniverse(tuple(f"{{{','.join(members[k])}}}_{len(k)}" for k in nodes))
+    idx = {k: i for i, k in enumerate(nodes)}
+    # each state's node index per depth
+    at_depth = {q: [idx[rank[:d]] for d in range(1, len(rank) + 1)] for q, rank in zip(a.states, ranks)}
     # every node up to the greatest depth-1 node holding an initial state
     initial = frozenset(range(max((at_depth[q][0] for q in a.initial), default=-1) + 1))
 

@@ -30,7 +30,6 @@ from obat import (
     upward_closure,
 )
 from obat.convert import (
-    build_eps_tree,
     check_eps_complete,
     horizontal_complete_alphabet,
     parity_to_oba,
@@ -255,7 +254,7 @@ def test_optimality_experiment(corpus):
         assert len(reached) == record_count_bound(n), f"|Q|={n}: {len(reached)} records"
         augmented = apply_eps_completion(det)
         assert check_eps_complete(augmented).ok, f"|Q|={n}"
-        assert build_eps_tree(augmented).depth == n, f"|Q|={n}"
+        assert augmented.index[1] == 2 * n - 1, f"|Q|={n}"  # once checked, n odd levels: a depth-n ε-tree
         sizes[n] = len(reached)
     assert sizes[4] == 11 and sizes[5] == 35 and sizes[6] == 155
     for name, a, det in corpus:

@@ -20,6 +20,7 @@ from obat import (
     up,
     upward_closure,
 )
+from obat.cli import FALSE, OK, main, parity_to_doc, write_doc
 from obat.verify import enumerate_up_words
 
 from zoo import inf_a, inf_a_oracle, random_oba, reached_states
@@ -161,6 +162,24 @@ def _single_loop(priority: int) -> ParityAutomaton:
     )
 
 
+# (index, priority of the one loop, accepted): priorities beyond 2^30 and below zero
+FAR_PRIORITIES = [([0, 2**32], 2**32, True), ([0, 2**32 + 1], 2**32 + 1, False), ([-7, -5], -6, True)]
+
+
+def _far_loop(index, priority) -> tuple[ParityAutomaton, ParityAutomaton]:
+    """A one-state a-loop at ``priority``, nondeterministic and deterministic."""
+    return tuple(
+        ParityAutomaton(
+            states=("p",),
+            initial=frozenset({"p"}),
+            index=tuple(index),
+            transitions=frozenset({("p", "a", priority, "p")}),
+            deterministic=det,
+        )
+        for det in (False, True)
+    )
+
+
 class TestParityAutomaton:
     def test_repeated_state_rejected(self):
         with pytest.raises(ValidationError, match="state identifiers must be pairwise distinct"):
@@ -225,6 +244,21 @@ class TestNpaMembership:
         )
         assert NpaOracle(a)(up((), ("a", "b")))
         assert not NpaOracle(a)(up((), ("a",)))
+
+    @pytest.mark.parametrize("index, priority, accepted", FAR_PRIORITIES)
+    def test_priorities_far_from_zero(self, index, priority, accepted):
+        nondet, det = _far_loop(index, priority)
+        w = up((), "a")
+        assert NpaOracle(nondet)(w) == NpaOracle(det)(w) == DpaOracle(det)(w) == accepted
+
+    @pytest.mark.parametrize("index, priority, accepted", FAR_PRIORITIES)
+    def test_priorities_far_from_zero_through_the_cli(self, tmp_path, capsys, index, priority, accepted):
+        paths = [str(tmp_path / f"{k}.json") for k in ("parity", "det-parity")]
+        for a, path in zip(_far_loop(index, priority), paths):
+            write_doc(parity_to_doc(a), path)
+        assert main(["member", paths[0], "--period", "a"]) == (OK if accepted else FALSE)
+        assert capsys.readouterr().out.strip() == str(accepted).lower()
+        assert main(["equiv", *paths]) == OK
 
 
 class TestDpaOracle:

@@ -16,7 +16,7 @@ from obat import (
     up,
 )
 from obat.convert import (
-    build_eps_tree,
+    NotEpsComplete,
     check_eps_complete,
     horizontal_complete_alphabet,
     parity_to_oba,
@@ -133,37 +133,36 @@ class TestCheckEpsComplete:
         assert any(v.axiom == "refinement" for v in report.violations)
 
 
+def labels_desc(a):
+    """``parity_to_oba``'s state labels ``{members}_d``, greatest first: the ε-tree in depth-first order."""
+    return list(reversed(parity_to_oba(a)[0].universe.states))
+
+
 class TestEpsTree:
+    """The ε-tree of odd classes, read off the states of ``parity_to_oba``."""
+
     def test_figure_tree_order(self):
-        tree = build_eps_tree(eps_figure())
-        order = {"p": 0, "q": 1, "r": 2, "s": 3}
-        labels = [n.label(order) for n in tree.nodes_desc]
-        assert labels == ["{p,q,r}_1", "{p,q}_2", "{r}_2", "{s}_1", "{s}_2"]
+        assert labels_desc(eps_figure()) == ["{p,q,r}_1", "{p,q}_2", "{r}_2", "{s}_1", "{s}_2"]
 
     def test_path_tree_when_single_classes(self):
         a = make_eps_complete(
             ("x", "y"), [[["x", "y"]], [["x", "y"]]], {("x", "a", 0, "y")}
         )
-        tree = build_eps_tree(a)
-        assert [n.depth for n in tree.nodes_desc] == [1, 2]
-        assert all(len(n.members) == 2 for n in tree.nodes_desc)
+        assert labels_desc(a) == ["{x,y}_1", "{x,y}_2"]
 
     def test_node_count_bound(self):
         for name, a in eps_complete_corpus():
-            tree = build_eps_tree(a)
             levels = (a.index[1] + 1) // 2
-            assert len(tree.nodes_desc) <= levels * len(a.states), name
+            assert parity_to_oba(a)[0].universe.size <= levels * len(a.states), name
 
     def test_children_partition_parents(self):
-        tree = build_eps_tree(eps_figure())
-        for node in tree.nodes_desc:
-            kids = tree.children[node]
-            if kids:
-                got = set()
-                for kid in kids:
-                    assert kid.members <= node.members
-                    got |= kid.members
-                assert got == node.members
+        for name, a in eps_complete_corpus():
+            nodes = [(int(d), frozenset(inner[1:-1].split(","))) for inner, d in (x.rsplit("_", 1) for x in labels_desc(a))]
+            deepest = max(d for d, _ in nodes)
+            for depth, members in nodes:
+                if depth < deepest:
+                    kids = [m for d, m in nodes if d == depth + 1 and m <= members]
+                    assert sum(map(len, kids)) == len(members) and frozenset().union(*kids) == members, name
 
     def test_non_complete_input_rejected(self):
         a = ParityAutomaton(
@@ -172,8 +171,8 @@ class TestEpsTree:
             index=(0, 1),
             transitions=frozenset(),
         )
-        with pytest.raises(UsageError):
-            build_eps_tree(a)
+        with pytest.raises(NotEpsComplete):
+            parity_to_oba(a)
 
 
 class TestPrefOrder:

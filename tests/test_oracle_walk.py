@@ -29,7 +29,7 @@ from obat import (
     rabin_to_oba,
     up,
 )
-from obat.automata import _TOP, _mat_mul
+from obat.automata import _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
 from obat.verify import enumerate_up_words, equiv_up
@@ -152,7 +152,7 @@ class TestWalkDifferential:
             for _ in range(3):
                 word = rng.choices(letters + [EPS], k=rng.randint(0, 60))
                 period = (rng.choice(letters),)
-                m = {p: {p: frozenset({_TOP})} for p in a.states}
+                m = npa._unit
                 for k in range(len(word) + 1):
                     if k:
                         m = _mat_mul(m, npa._letter(word[k - 1]))

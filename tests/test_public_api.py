@@ -10,8 +10,6 @@ def test_public_names():
     assert sorted(obat.__all__) == [
         "DpaOracle",
         "EPS",
-        "EpsNode",
-        "EpsTree",
         "Morphism",
         "NotUpwardClosed",
         "NpaOracle",
@@ -26,7 +24,6 @@ def test_public_names():
         "UsageError",
         "ValidationError",
         "apply_eps_completion",
-        "build_eps_tree",
         "check_eps_complete",
         "check_local_preference",
         "delta",

@@ -8,9 +8,10 @@ construction in this package is checked against; none of them goes through
 the determinization.
 
 An oracle folds each query's prefix from its start state with no memo, so a
-long-lived oracle holds nothing per distinct prefix; its only cache that
-grows with queries is keyed by period, or for ``ObaOracle`` by a period's
-class under rotation and power (see each class).
+long-lived oracle holds nothing per distinct prefix; the caches that grow
+with queries are keyed by period, by a period's value-set matrix for
+``NpaOracle``, or for ``ObaOracle`` by a period's class under rotation and
+power (see each class).
 """
 
 from __future__ import annotations
@@ -540,10 +541,15 @@ class NpaOracle:
     matrix.  No stored cell is ever empty, so a row's keys are exactly its
     state's successors.  Period matrix entries collect every least-priority
     value achievable between two states, so iterating powers of the period
-    matrix until they repeat covers every lasso shape.  The one cache is
-    ``_period``: per queried period its value-set matrix and its accepting
-    states, built from the entry of the period one letter shorter when there
-    is one, since the matrix products are the costly part of a query.
+    matrix until they repeat covers every lasso shape.  The matrix products
+    are the costly part of a query, and two caches save them.  ``_period``
+    holds per queried period its value-set matrix and its accepting states,
+    built from the entry of the period one letter shorter when there is one.
+    ``_acc`` holds the accepting states once per distinct matrix, keyed by
+    :func:`_mat_key`: they depend only on the matrix, and are the same for
+    each of its powers, since a closed walk over j periods repeated k times
+    is one over jk periods with the same least priority.  So the powers are
+    iterated only for a matrix seen neither as a period's nor as a power.
     """
 
     def __init__(self, a: ParityAutomaton):
@@ -559,13 +565,14 @@ class NpaOracle:
         # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
         self._period: dict[tuple[str, ...], tuple] = {}  # period -> (matrix, accepting states)
+        self._acc: dict[frozenset, frozenset[str]] = {}  # matrix key -> accepting states
 
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
         e = self._unit
         while True:
             step = _mat_union(e, _mat_mul(e, eps))
-            if _mat_key(step) == _mat_key(e):
+            if step == e:
                 return e
             e = step
 
@@ -579,7 +586,9 @@ class NpaOracle:
         """(matrix, accepting states) of a period.
 
         The accepting states are those with an even-value self-cycle over
-        some power of the period matrix.
+        some power of the period matrix.  The powers are iterated only for a
+        matrix not yet in ``_acc``, and the answer is stored there under the
+        key of each power visited.
         """
         if period in self._period:
             return self._period[period]
@@ -590,16 +599,22 @@ class NpaOracle:
             v, rest = shorter[0], period[-1:]
         for x in rest:
             v = _mat_mul(v, self._letter(x))
-        power = v
-        seen = set()
-        acc: set[str] = set()
-        while (key := _mat_key(power)) not in seen:
-            seen.add(key)
-            for q, row in power.items():
-                if any(val % 2 == 0 for val in row.get(q, ())):
-                    acc.add(q)
-            power = _mat_mul(power, v)
-        entry = self._period[period] = (v, frozenset(acc))
+        key = _mat_key(v)
+        acc = self._acc.get(key)
+        if acc is None:
+            power = v
+            seen = set()
+            found: set[str] = set()
+            while key not in seen:
+                seen.add(key)
+                for q, row in power.items():
+                    if any(val % 2 == 0 for val in row.get(q, ())):
+                        found.add(q)
+                power = _mat_mul(power, v)
+                key = _mat_key(power)
+            acc = frozenset(found)
+            self._acc.update(dict.fromkeys(seen, acc))
+        entry = self._period[period] = (v, acc)
         return entry
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:

@@ -19,6 +19,7 @@ from .tiles import (
     Transition,
     UsageError,
     ValidationError,
+    unit_tile,
     upward_closure,
 )
 
@@ -257,10 +258,17 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     that visits a node before its extensions, greater classes first.  A
     letter connects two depth-d nodes with priority 1 when some underlying
     transition between their members carries a priority preferred to 2d-1,
-    and with a Büchi transition when it is preferred to 2d-2.  The ε letter
-    maps to the unit tile and the morphism covers it alongside the real
-    alphabet.  One pass over the transitions adds each one's generators at
-    every depth.
+    and with a Büchi transition when it is preferred to 2d-2.  One pass over
+    the letter transitions adds each one's generators at every depth.
+
+    The ε letter maps to the unit tile, which the morphism covers alongside
+    the real alphabet; ε-completeness makes that the tile its ε-edges would
+    generate.  Reflexivity at the top odd level gives every node (n, 1, n);
+    the other ε-edges add nothing above it.  An odd ε-edge c lies within the
+    preorder at c and so, by refinement, within every coarser one: it
+    descends weakly at every depth where it counts.  An even ε-edge 2k
+    descends strictly at level 2k+1 and at every finer level, which are the
+    depths where it is Büchi, and weakly above them.
 
     Any initial set is accepted: the converter closes it itself.  The
     initial nodes are every node up to the greatest depth-1 node holding an
@@ -282,8 +290,7 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     # every node up to the greatest depth-1 node holding an initial state
     initial = frozenset(range(max((at_depth[q][0] for q in a.initial), default=-1) + 1))
 
-    letters = sorted(a.effective_alphabet) + [EPS]
-    gens: dict[str, set[tuple[int, int, int]]] = {x: set() for x in letters}
+    gens: dict[str, set[tuple[int, int, int]]] = {x: set() for x in a.effective_alphabet}
     for (p, x, c, q) in a.transitions:
         if x in gens:
             for d, (n1, n2) in enumerate(zip(at_depth[p], at_depth[q]), start=1):
@@ -291,7 +298,9 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
                     gens[x].add((n1, 1, n2))
                 if pref_leq(c, 2 * d - 2):
                     gens[x].add((n1, 0, n2))
-    alphabet, morphism = _name_tiles({x: upward_closure(universe, gen) for x, gen in gens.items()})
+    tiles = {x: upward_closure(universe, gen) for x, gen in gens.items()}
+    tiles[EPS] = unit_tile(universe)
+    alphabet, morphism = _name_tiles(tiles)
     return OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet), morphism
 
 

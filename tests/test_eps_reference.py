@@ -7,7 +7,9 @@ of this off one down-set bitmask table per ε-priority instead, and its states
 off each state's ranks at the odd levels; both must give the same violation
 lists (witnesses included) and the same translated documents, on the ε
 corpus, seeded random ε-complete automata, the ε-completed determinizations
-and edge mutants of all of them.
+and edge mutants of all of them.  The library also maps ε to the unit tile
+without reading the ε-edges; the tile its pass over them used to build is
+kept here and must be that unit tile on every ε-complete input.
 """
 
 import random
@@ -15,12 +17,22 @@ from dataclasses import dataclass
 
 import pytest
 
-from obat import EPS, OrderedBuchiAutomaton, ParityAutomaton, StateUniverse, UsageError, upward_closure
+from obat import (
+    EPS,
+    OrderedBuchiAutomaton,
+    ParityAutomaton,
+    StateUniverse,
+    UsageError,
+    horizontal_complete_alphabet,
+    unit_tile,
+    upward_closure,
+)
 from obat.cli import oba_to_doc
 from obat.convert import (
     EpsReport,
     EpsViolation,
     _name_tiles,
+    _odd_ranks,
     check_eps_complete,
     parity_to_oba,
     pref_leq,
@@ -175,6 +187,26 @@ def ref_parity_to_oba(a):
     return OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet), morphism
 
 
+def edge_built_eps_tile(a, universe):
+    """The ε tile generated from the ε-edges by ``parity_to_oba``'s pass over the
+    transitions, as the library built it before mapping ε to the unit tile."""
+    ranks = _odd_ranks(a)
+    prefixes = {rank[:d] for rank in ranks for d in range(1, len(rank) + 1)}
+    nodes = sorted(prefixes, key=lambda k: [-r for r in k], reverse=True)
+    assert len(nodes) == universe.size
+    idx = {k: i for i, k in enumerate(nodes)}
+    at_depth = {q: [idx[rank[:d]] for d in range(1, len(rank) + 1)] for q, rank in zip(a.states, ranks)}
+    gen = set()
+    for (p, x, c, q) in a.transitions:
+        if x == EPS:
+            for d, (n1, n2) in enumerate(zip(at_depth[p], at_depth[q]), start=1):
+                if pref_leq(c, 2 * d - 1):
+                    gen.add((n1, 1, n2))
+                if pref_leq(c, 2 * d - 2):
+                    gen.add((n1, 0, n2))
+    return upward_closure(universe, gen)
+
+
 # --- inputs --------------------------------------------------------------------
 
 
@@ -271,3 +303,22 @@ def test_same_violations_tree_and_translation(family):
     for name, a in FAMILIES[family]:
         assert check_eps_complete(a).violations == ref_check_eps_complete(a).violations, name
         assert outcome(translated(parity_to_oba), a) == outcome(translated(ref_parity_to_oba), a), name
+
+
+def horizontal_complete_completions(sizes):
+    for n in sizes:
+        u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+        a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
+        yield f"horizontal-complete-{n}", apply_eps_completion(determinize(a))
+
+
+def test_eps_edges_generate_the_unit_tile():
+    """ε-completeness makes the tile built from the ε-edges the unit tile, which
+    ``parity_to_oba`` assigns to ε without reading them."""
+    cases = list(eps_complete_corpus()) + FAMILIES["random"] + FAMILIES["determinizations"]
+    cases += horizontal_complete_completions(range(1, 6))
+    for name, a in cases:
+        oba, morphism = parity_to_oba(a)
+        unit = unit_tile(oba.universe)
+        assert edge_built_eps_tile(a, oba.universe) == unit, name
+        assert oba.alphabet[morphism.as_dict()[EPS]] == unit, name

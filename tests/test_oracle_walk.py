@@ -5,6 +5,7 @@ The long-word tests run at Python's default recursion limit, so an oracle
 that recursed once per letter would fail them.
 """
 
+import itertools
 import json
 import os
 import random
@@ -29,7 +30,8 @@ from obat import (
     rabin_to_oba,
     up,
 )
-from obat.automata import _mat_mul
+import obat.automata
+from obat.automata import _mat_key, _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
 from obat.verify import enumerate_up_words, equiv_up
@@ -43,6 +45,7 @@ from zoo import (
     fig_inf_b_or_bb_inf_a_oracle,
     rabin_two_pair,
     random_oba,
+    rich_oba,
 )
 
 DEFAULT_RECURSION_LIMIT = 1000
@@ -176,8 +179,9 @@ class TestWalkDifferential:
 
     def test_state_grows_only_with_distinct_periods(self):
         """5,000 distinct prefixes over seven periods in four classes under rotation and power:
-        the OBA's per-class cache holds four entries, the NPA's per-period cache seven and its
-        letter tables one per letter, and the last 4,000 prefixes add nothing."""
+        the OBA's per-class cache holds four entries, the NPA's per-period cache seven, its
+        per-matrix table one per distinct matrix among the periods' (six) and its letter tables
+        one per letter, and the last 4,000 prefixes add nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
         rng = random.Random(20261020)
@@ -188,7 +192,7 @@ class TestWalkDifferential:
         for oracle, grown in (
             (ObaOracle(a), {"_acc": 4}),
             (DpaOracle(det), {}),
-            (NpaOracle(apply_eps_completion(det)), {"_period": 7, "_letter_mat": 2}),
+            (NpaOracle(apply_eps_completion(det)), {"_period": 7, "_acc": 6, "_letter_mat": 2}),
         ):
             sizes = [_container_sizes(oracle)]
             for i, u in enumerate(sorted(prefixes)):
@@ -208,6 +212,59 @@ class TestWalkDifferential:
         oracle = ObaOracle(oba)
         assert equiv_up(oracle, DpaOracle(determinize(oba)), oba.letters, 2, 3) is None
         assert len(oracle._acc) == 14
+
+
+def _npa_table_cases():
+    """The ε-complete zoo and the ε-completed determinizations of the determinization
+    corpus (the zoo's figures and random automata up to three states) and of two
+    four-state ``rich_oba``."""
+    yield from eps_complete_corpus()
+    rng = random.Random(4)
+    corpus = determinization_corpus() + [(f"rich-4-{i}", rich_oba(rng, 4)) for i in range(2)]
+    for name, a in corpus:
+        yield name, apply_eps_completion(determinize(a))
+
+
+class TestNpaTables:
+    def test_long_lived_oracle_agrees_with_a_fresh_one_per_query(self):
+        """Every period up to four letters, behind a random prefix and also intertwined with ε,
+        asked in shuffled order of one long-lived oracle: its per-period and per-matrix tables
+        must give a fresh oracle's answer."""
+        rng = random.Random(20261023)
+        verdicts = set()
+        for name, a in _npa_table_cases():
+            letters = sorted(a.effective_alphabet)
+            periods = [v for k in range(1, 5) for v in itertools.product(letters, repeat=k)]
+            words = [up(rng.choices(letters, k=rng.randint(0, 3)), v) for v in periods]
+            words += [intertwine(w) for w in rng.sample(words, min(len(words), 20))]
+            rng.shuffle(words)
+            npa = NpaOracle(a)
+            for w in words:
+                want = NpaOracle(a)(w)
+                verdicts.add(want)
+                assert npa(w) == want, (name, w)
+        assert verdicts == {True, False}
+
+    def test_equiv_runs_the_power_loop_once_per_matrix(self, monkeypatch):
+        """One ``equiv_up`` at bounds 2/3 asks 39 periods; each period matrix's powers are
+        iterated at most once, however many periods share it.  A power-loop product is one
+        whose right factor is a period matrix, not a letter's or the ε relation's."""
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        det = determinize(oba)
+        npa = NpaOracle(apply_eps_completion(det))
+        right_factors = []
+
+        def counted(a, b):
+            right_factors.append(b)
+            return _mat_mul(a, b)
+
+        monkeypatch.setattr(obat.automata, "_mat_mul", counted)
+        assert equiv_up(DpaOracle(det), npa, oba.letters, 2, 3) is None
+        not_periods = [npa._eclosure, *npa._rel.values(), *npa._letter_mat.values()]
+        loops = {id(b): b for b in right_factors if not any(b is m for m in not_periods)}
+        matrices = {_mat_key(v) for v, _ in npa._period.values()}
+        assert len(npa._period) == 39
+        assert len({_mat_key(v) for v in loops.values()}) == len(loops) <= len(matrices) < 39
 
 
 class TestMorphismFold:

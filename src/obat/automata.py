@@ -167,17 +167,20 @@ class ValidationReport:
         return "\n".join(lines) if lines else "valid"
 
 
-def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
-    """Report every violated ordered-Büchi invariant, with witnesses.
+def _oba_issues(a: OrderedBuchiAutomaton) -> ValidationReport:
+    """The violated ordered-Büchi invariants, with witnesses, and no warnings.
 
-    Unreachable states are warned about only when no invariant is violated.
+    These are the checks a document must pass to load: an initial set of
+    in-range states that is downward-closed, and tiles over the automaton's
+    universe.
     """
     report = ValidationReport()
-    names = a.universe.states
+    u = a.universe
+    names = u.states
     for q in sorted(a.initial):
-        if not 0 <= q < a.universe.size:
+        if not 0 <= q < u.size:
             report.issues.append(ValidationIssue("initial", f"state index {q} out of range"))
-    for q in sorted(a.initial & frozenset(range(a.universe.size))):
+    for q in sorted(a.initial & frozenset(range(u.size))):
         for q2 in range(q):
             if q2 not in a.initial:
                 report.issues.append(
@@ -187,15 +190,26 @@ def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
                     )
                 )
                 break
-    for letter in sorted(a.alphabet):
-        if a.alphabet[letter].universe != a.universe:
-            report.issues.append(
-                ValidationIssue("tile-universe", f"tile {letter!r} built over a different universe")
-            )
-    if not report.valid:  # reachability needs in-range states and same-universe tiles
+    # a loaded document's tiles share its universe object, so the identity test decides
+    for letter in sorted(x for x, t in a.alphabet.items() if t.universe is not u and t.universe != u):
+        report.issues.append(ValidationIssue("tile-universe", f"tile {letter!r} built over a different universe"))
+    return report
+
+
+def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
+    """Report every violated ordered-Büchi invariant, with witnesses, and warn about unreachable states.
+
+    The invariants are those a document is checked against when it loads.
+    The warnings need one walk from max(I) under the letters' top-successor
+    maps, so they are made only here and only when no invariant is violated:
+    the walk needs in-range states and same-universe tiles.
+    """
+    report = _oba_issues(a)
+    if not report.valid:
         return report
     # initial and successor sets are downward-closed: every state up to the
     # greatest one reached from max(I) is reachable
+    names = a.universe.states
     reach = max(_walk_from_initial(a)[0], default=-1)
     for q in range(reach + 1, a.universe.size):
         report.warnings.append(

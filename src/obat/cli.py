@@ -32,6 +32,7 @@ from .automata import (
     OrderedBuchiAutomaton,
     ParityAutomaton,
     UPWord,
+    _oba_issues,
     oba_validate,
 )
 from .convert import NotEpsComplete, RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
@@ -108,7 +109,30 @@ def _universe(names: list, path: str) -> StateUniverse:
         raise ValidationError(f"{path}: {e}") from None
 
 
+def _entry_types(letters: list, path: str) -> None:
+    """A validation error unless every generator entry of every letter is an int.
+
+    ``letters`` holds (letter, rows) pairs in document order.  One type-set
+    test over all their entries decides; only when it fails are the letters
+    walked, to name the first offender in document order.
+    """
+    if {*map(type, chain.from_iterable(chain.from_iterable(rows for _, rows in letters)))} <= {int}:
+        return
+    for letter, rows in letters:
+        _require(tuple(zip(*rows)), int, f"tile {letter!r} entry", path)
+
+
 def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
+    """The automaton and morphism of an ordered-Büchi document, or its first fault in document order.
+
+    Each letter is checked and built in turn, but the entry types of all
+    letters are tested once, after the loop, since a build can only fail on
+    a non-int entry or make a tile that is then discarded.  A fault met in
+    the loop is raised only once the letters read so far pass that test: a
+    wrong entry type comes before every later fault of its letter and of the
+    letters after it.
+    """
+    letters: list[tuple[str, list]] = []  # (letter, generator rows) for each letter read
     try:
         universe = _universe(_typed(doc["states"], list, "states", path), path)
         initial = frozenset(universe.index(s) for s in _typed(doc["initial"], list, "initial", path))
@@ -122,8 +146,11 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
                 build, key = tile_of, "transitions"
             else:
                 raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
-            triples = [(p, c, q) for (p, c, q) in _typed(body[key], list, f"tile {letter!r} {key}", path)]
-            _require(tuple(zip(*triples)), int, f"tile {letter!r} entry", path)
+            rows = body[key]
+            if not isinstance(rows, list):  # the message is formatted only for a fault
+                _typed(rows, list, f"tile {letter!r} {key}", path)
+            triples = [(p, c, q) for (p, c, q) in rows]
+            letters.append((letter, triples))
             try:
                 alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
@@ -131,11 +158,13 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
             except ValidationError as e:
                 raise ValidationError(f"{path}: tile {letter!r}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
+        _entry_types(letters, path)
         if isinstance(e, ValidationError):
             raise
         raise ValidationError(f"{path}: malformed ordered-buchi document ({e})") from None
+    _entry_types(letters, path)
     a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
-    report = oba_validate(a)
+    report = _oba_issues(a)
     if not report.valid:
         raise ValidationError(f"{path}: {report.issues[0].kind}: {report.issues[0].message}")
     morphism = None

@@ -259,7 +259,11 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     letter connects two depth-d nodes with priority 1 when some underlying
     transition between their members carries a priority preferred to 2d-1,
     and with a Büchi transition when it is preferred to 2d-2.  One pass over
-    the letter transitions adds each one's generators at every depth.
+    the letter transitions adds each one's generators by threshold: an odd c
+    is preferred to 2d-1 at the depths d <= (c+1)/2 and never to 2d-2; an
+    even c is preferred to every 2d-1, and to 2d-2 at the depths
+    d >= c/2 + 1, where its Büchi generator dominates the priority-1 one
+    between the same nodes and so stands for both in the closure.
 
     The ε letter maps to the unit tile, which the morphism covers alongside
     the real alphabet; ε-completeness makes that the tile its ε-edges would
@@ -293,11 +297,11 @@ def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     gens: dict[str, set[tuple[int, int, int]]] = {x: set() for x in a.effective_alphabet}
     for (p, x, c, q) in a.transitions:
         if x in gens:
-            for d, (n1, n2) in enumerate(zip(at_depth[p], at_depth[q]), start=1):
-                if pref_leq(c, 2 * d - 1):
-                    gens[x].add((n1, 1, n2))
-                if pref_leq(c, 2 * d - 2):
-                    gens[x].add((n1, 0, n2))
+            pairs = list(zip(at_depth[p], at_depth[q]))
+            k = max(0, -(-c // 2))  # priority 1 at depths d <= ⌈c/2⌉; an even c is Büchi at every deeper one
+            gens[x].update([(n1, 1, n2) for n1, n2 in pairs[:k]])
+            if c % 2 == 0:
+                gens[x].update([(n1, 0, n2) for n1, n2 in pairs[k:]])
     tiles = {x: upward_closure(universe, gen) for x, gen in gens.items()}
     tiles[EPS] = unit_tile(universe)
     alphabet, morphism = _name_tiles(tiles)

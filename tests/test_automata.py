@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -20,7 +21,7 @@ from obat import (
     up,
     upward_closure,
 )
-from obat.cli import FALSE, OK, main, parity_to_doc, write_doc
+from obat.cli import FALSE, OK, load_document, main, oba_to_doc, parity_to_doc, write_doc
 from obat.verify import enumerate_up_words
 
 from zoo import inf_a, inf_a_oracle, random_oba, reached_states
@@ -61,6 +62,46 @@ class TestObaValidate:
                 seen |= frontier
             warned = {w.message.split()[1] for w in oba_validate(a).warnings}
             assert warned == {a.universe.name(q) for q in range(a.universe.size) if q not in seen}
+
+    def test_only_validate_and_stats_walk_from_the_initial_set(self, tmp_path, monkeypatch, capsys):
+        """Loading checks the invariants without the reachability walk; ``validate`` and ``stats`` walk once."""
+        walk = importlib.import_module("obat.automata")._walk_from_initial
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return walk(a)
+
+        u = StateUniverse(("s0", "s1"))
+        cases = [OrderedBuchiAutomaton(u, frozenset({0}), {"a": upward_closure(u, [(0, 1, 0)])})]
+        rng = random.Random(31)
+        cases += [random_oba(rng, max_states=6) for _ in range(40)]
+        expected = [str(oba_validate(a)) for a in cases]
+        assert sum(text.count("unreachable-state") for text in expected) >= 10
+        for name in ("obat.automata", "obat.determinize", "obat.verify"):
+            monkeypatch.setattr(importlib.import_module(name), "_walk_from_initial", counted)
+        for i, (a, text) in enumerate(zip(cases, expected)):
+            path = str(tmp_path / f"a{i}.json")
+            write_doc(oba_to_doc(a), path)
+            calls.clear()
+            assert load_document(path)[1] == a
+            assert len(calls) == 0
+            capsys.readouterr()
+            assert main(["validate", path]) == OK
+            assert capsys.readouterr().out == text + "\n"
+            assert len(calls) == 1
+            assert main(["stats", path]) == OK
+            assert len(calls) == 2
+
+    def test_tile_universe_compared_by_value(self):
+        u = StateUniverse(("s0", "s1"))
+        same, other = StateUniverse(("s0", "s1")), StateUniverse(("s0", "s2"))
+        tiles = {x: upward_closure(v, [(0, 1, 0)]) for x, v in (("c", other), ("a", same), ("b", other), ("d", u))}
+        report = oba_validate(OrderedBuchiAutomaton(u, frozenset({0}), tiles))
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("tile-universe", f"tile {x!r} built over a different universe") for x in ("b", "c")
+        ]
+        assert report.warnings == []
 
     def test_out_of_range_initial_reported(self):
         a = inf_a()

@@ -6,8 +6,11 @@ running maximum from ``itertools.accumulate`` and a separate corner scan;
 ``_parse_parity`` with per-column type loops and ``universe.index`` per
 record entry; the ``ParityAutomaton`` checks one transition at a time, in
 sorted order so that the offender named is the least; and
-``parity_to_doc`` sorting list rows.  The library checks entry and column
-types with one type-set test and walks rows only to name an offender; its
+``parity_to_doc`` sorting list rows.  The library checks the entry types of
+an ordered-Büchi document with one type-set test per document, after
+building its letters, and parity columns with one type-set test each; it
+walks rows only to name an offender, so a fault in an earlier letter must
+still come before a wrong entry type in a later one.  Its
 ``ParityAutomaton`` checks make one pass in set order and sort only on a
 fault, and the reference pins them for any later bulk version.  Both must build equal automata and
 equal documents on the zoo, the 54-automaton corpus, seeded random automata,
@@ -395,6 +398,36 @@ MALFORMED = {
     "oba-string-row": _with(OBA, alphabet={"a": {"skeleton": ["abc"]}}),
     "oba-object-row": _with(OBA, alphabet={"a": {"skeleton": [{"p": 0, "c": 0, "q": 0}]}}),
     "oba-not-closed": _with(OBA, alphabet={"a": {"transitions": [[0, 1, 1], [1, 1, 2]]}}),
+    # faults in two letters: the earlier letter's is named, whatever the kinds
+    "oba-out-of-range-then-bool-two-letters-on": _with(
+        OBA, alphabet={"a": {"skeleton": [[0, 0, 5]]}, "b": {"skeleton": [[0, 0, 0]]}, "c": {"skeleton": [[True, 0, 0]]}}
+    ),
+    "oba-out-of-range-then-float-two-letters-on": _with(
+        OBA, alphabet={"a": {"skeleton": [[4, 1, 0]]}, "b": {"skeleton": [[0, 0, 0]]}, "c": {"skeleton": [[1, 1.0, 1]]}}
+    ),
+    "oba-not-closed-then-bad-type": _with(
+        OBA,
+        alphabet={
+            "a": {"skeleton": [[0, 0, 0]]},
+            "b": {"transitions": [[0, 1, 1], [1, 1, 2]]},
+            "c": {"skeleton": [[0, "x", 0]]},
+        },
+    ),
+    "oba-bad-type-then-not-closed": _with(
+        OBA,
+        alphabet={
+            "a": {"skeleton": [[0, 1.0, 0]]},
+            "b": {"transitions": [[0, 1, 1], [1, 1, 2]]},
+            "c": {"skeleton": [[2, 0, 2]]},
+        },
+    ),
+    "oba-eps-after-bad-type": _with(
+        OBA, alphabet={"a": {"skeleton": [[0, 0, 0]]}, "b": {"skeleton": [[1, 1.0, 1]]}, "eps": {"skeleton": []}}
+    ),
+    "oba-eps-after-bool": _with(OBA, alphabet={"a": {"skeleton": [[True, 0, 0]]}, "eps": {"skeleton": [[0, 0, 0]]}}),
+    "oba-short-row-after-bad-type": _with(
+        OBA, alphabet={"a": {"skeleton": [[0, 1.0, 0]]}, "b": {"skeleton": [[0, 0]]}}
+    ),
     "oba-skeleton-string": _with(OBA, alphabet={"a": {"skeleton": "abc"}}),
     "oba-no-tile-key": _with(OBA, alphabet={"a": {"rows": []}}),
     "oba-eps-letter": _with(OBA, alphabet={"eps": {"skeleton": []}}),
@@ -543,3 +576,22 @@ def test_malformed_corpus_covers_each_check():
     assert "nondeterministic on" in messages["det-two-repeated-pairs"]
     assert "must be a JSON string, got int" in messages["det-two-non-string-endpoints"]
     assert "must be a JSON integer, got float" in messages["det-two-non-integer-priorities"]
+
+
+def test_cross_letter_faults_name_the_earlier_letter():
+    """A build fault, an ε letter or a short row in one letter and a wrong entry type in another:
+    the reference names whichever letter comes first, so a library that tests entry types
+    before building, or only after the loop, shows here."""
+    expected = {
+        "oba-out-of-range-then-bool-two-letters-on": "tile 'a': transition (0, 0, 5) out of range",
+        "oba-out-of-range-then-float-two-letters-on": "tile 'a': transition (4, 1, 0) out of range",
+        "oba-not-closed-then-bad-type": "tile-not-upward-closed: tile 'b' contains",
+        "oba-bad-type-then-not-closed": "tile 'a' entry must be a JSON integer, got float",
+        "oba-eps-after-bad-type": "tile 'b' entry must be a JSON integer, got float",
+        "oba-eps-after-bool": "tile 'a' entry must be a JSON integer, got bool",
+        "oba-short-row-after-bad-type": "tile 'a' entry must be a JSON integer, got float",
+    }
+    for name, start in expected.items():
+        outcome = _parse(copy.deepcopy(MALFORMED[name]))
+        assert outcome[:2] == ("raised", ValidationError), name
+        assert outcome[2].startswith(f"{PATH}: {start}"), (name, outcome[2])

@@ -24,6 +24,8 @@ from .tiles import (
     UsageError,
     ValidationError,
     is_buchi,
+    product,
+    unit_tile,
 )
 
 EPS = "eps"
@@ -218,48 +220,6 @@ def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
     return report
 
 
-def _scc_partition(nodes, succ) -> dict:
-    """Map each node to a strongly-connected-component id (iterative Kosaraju)."""
-    order: list = []
-    seen = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        seen.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    pred: dict = {}
-    for p, qs in succ.items():
-        for q in qs:
-            pred.setdefault(q, []).append(p)
-    comp: dict = {}
-    cid = 0
-    for node in reversed(order):
-        if node in comp:
-            continue
-        stack = [node]
-        comp[node] = cid
-        while stack:
-            cur = stack.pop()
-            for nxt in pred.get(cur, ()):
-                if nxt not in comp:
-                    comp[nxt] = cid
-                    stack.append(nxt)
-        cid += 1
-    return comp
-
-
 def _post(succ: dict, states: frozenset) -> frozenset:
     """Image of ``states`` under a successor map: each state maps to its
     successors, as a set or as a matrix row keyed by successor."""
@@ -336,21 +296,18 @@ class ObaOracle:
     state set is held as its greatest state m (-1 for none): ``after(u)``
     walks max(I) through the letters' ``top`` maps and ``accepts(m, v)``
     decides the rest, so ``member`` is their composition; every oracle here
-    splits a query the same way.  u·v^ω is accepted iff some state q ≤ m at
-    a period boundary lies in a strongly connected component of the
-    period-unrolled graph that contains a Büchi edge; later boundaries add
-    nothing, since when v's composed top map f raises m, the transition
-    (m, c, f(m)) of v's tile dominates (m, 0, m).  That SCC search is the
-    costly part of a query and recurs across the prefixes of an
-    enumeration, so the one cache, ``_acc``, holds its answer per conjugacy
-    class of periods.  The key is the least rotation of the period's
-    primitive root, and its value has one entry per position j of the key:
-    the least q with (q, j) in such an SCC of the key's unrolled graph.  A
-    rotation's unrolled graph is the key's with its positions shifted, and a
-    closed walk over v^k projects to one over v while a closed walk over v,
-    repeated k times, is one over v^k; so a period answers with the entry at
-    the offset where its root starts in the key, and one search serves every
-    rotation and power.  A morphism is folded into the letter table at
+    splits a query the same way.  By the single-tile ω-power criterion
+    (criterion 9, :func:`omega_power_accepts`), v^ω is accepted from {0..m}
+    iff some q ≤ m has ``is_buchi(t_v, q, q)``, where t_v is the product of
+    v's tiles; so a period's answer is the least such q, |Q| for none.  That
+    product recurs across the prefixes of an enumeration, so the one cache,
+    ``_acc``, holds the answer per conjugacy class of periods.  The key is
+    the least rotation of the period's primitive root, and its value has one
+    entry per position j of the key: the least q for the tile of the
+    rotation key[j:] + key[:j], each built from one pass of prefix products
+    and one of suffix products.  A period is a power of the rotation at the
+    offset where its root starts in the key, and (w^k)^ω = w^ω, so it answers
+    with that entry.  A morphism is folded into the letter table at
     construction, so its letters index the tiles directly.
     """
 
@@ -374,34 +331,22 @@ class ObaOracle:
         _require_letters(self._letters, word)
 
     def _least_accepting(self, period: tuple[str, ...]) -> int:
-        """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none."""
+        """Least q with a horizontal Büchi transition in the period's tile; |Q| if there is none."""
         table = self._acc.get(period)
         if table is not None:  # the period is its class's key: offset 0
             return table[0]
         key, offset = _conjugacy_key(period)
         table = self._acc.get(key)
         if table is None:
-            a = self.automaton
-            length = len(key)
-            succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            buchi_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-            for i, letter in enumerate(key):
-                tile = self._tile[letter]
-                j = (i + 1) % length
-                for (p, c, q) in tile.transitions:
-                    node, nxt = (p, i), (q, j)
-                    succ.setdefault(node, []).append(nxt)
-                    if c == 0:
-                        buchi_edges.append((node, nxt))
-            nodes = [(q, i) for q in range(a.universe.size) for i in range(length)]
-            comp = _scc_partition(nodes, succ)
-            good = {comp[u] for (u, v) in buchi_edges if comp[u] == comp[v]}
-            least = [a.universe.size] * length
-            if good:
-                for q, i in reversed(nodes):  # q descends, so the least q is written last
-                    if comp[(q, i)] in good:
-                        least[i] = q
-            table = self._acc[key] = tuple(least)
+            n = self.automaton.universe.size
+            tiles = [self._tile[x] for x in key]
+            unit = unit_tile(self.automaton.universe)
+            heads, tails = [unit], [unit]  # t(key[:j]) and t(key[len(key) - j:]) at index j
+            for t, s in zip(tiles, reversed(tiles)):
+                heads.append(product(heads[-1], t))
+                tails.append(product(s, tails[-1]))
+            rotations = (product(tails[-1 - j], heads[j]) for j in range(len(key)))  # t(key[j:] + key[:j])
+            table = self._acc[key] = tuple(next((q for q in range(n) if is_buchi(t, q, q)), n) for t in rotations)
         return table[offset]
 
     def after(self, prefix: tuple[str, ...]) -> int:

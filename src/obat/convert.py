@@ -241,14 +241,6 @@ def _odd_ranks(a: ParityAutomaton) -> list[tuple[int, ...]]:
     return [tuple(row[i].bit_count() for row in rows) for i in range(len(states))]
 
 
-def pref_leq(c: int, x: int) -> bool:
-    """Preference order on priorities: every even beats every odd, low evens
-    and high odds first."""
-    if c % 2 == 0:
-        return c <= x if x % 2 == 0 else True
-    return False if x % 2 == 0 else c >= x
-
-
 def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:
     """Translate an ε-complete parity automaton into an ordered Büchi automaton.
 

@@ -98,8 +98,8 @@ class Tile:
 
     @cached_property
     def transitions(self) -> frozenset[Transition]:
-        """The explicit transition set, for ``ObaOracle``'s SCC search, ``tile_of``'s
-        closure check, the references in ``obat.verify`` and the tests."""
+        """The explicit transition set, for ``tile_of``'s closure check, the
+        references in ``obat.verify`` and the tests; no membership query reads it."""
         return frozenset(
             (p, c, q)
             for p, t in enumerate(self.top)

@@ -296,12 +296,12 @@ def test_round_trip(corpus):
         cex = equiv_up(ObaOracle(a), ObaOracle(back, morphism), letters, *bounds)
         assert cex is None, f"{name}: {cex}"
     sizes = {}
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         u = StateUniverse(tuple(f"q{i}" for i in range(n)))
         a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
         back, morphism = parity_to_oba(apply_eps_completion(determinize(a)))
         cex = equiv_up(ObaOracle(a), ObaOracle(back, morphism), sorted(a.alphabet), 1, 1)
         assert cex is None, f"horizontal-complete |Q|={n}: {cex}"
         sizes[n] = back.universe.size
-    assert sizes == {2: 6, 3: 14, 4: 35}
+    assert sizes == {2: 6, 3: 14, 4: 35, 5: 111}
     return f"{len(cases)} automata; horizontal-complete round-trip sizes {sizes}"

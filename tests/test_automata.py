@@ -12,10 +12,13 @@ from obat import (
     OrderedBuchiAutomaton,
     ParityAutomaton,
     StateUniverse,
+    Tile,
     UsageError,
     ValidationError,
     oba_validate,
     omega_power_accepts,
+    parity_to_oba,
+    rabin_to_oba,
     tile_of,
     unit_tile,
     up,
@@ -24,7 +27,16 @@ from obat import (
 from obat.cli import FALSE, OK, load_document, main, oba_to_doc, parity_to_doc, write_doc
 from obat.verify import enumerate_up_words
 
-from zoo import inf_a, inf_a_oracle, random_oba, reached_states
+from zoo import (
+    determinization_corpus,
+    eps_complete_corpus,
+    inf_a,
+    inf_a_oracle,
+    rabin_behavioral_two_pair,
+    rabin_two_pair,
+    random_oba,
+    reached_states,
+)
 
 
 class TestObaValidate:
@@ -142,6 +154,28 @@ class TestObaMembership:
                 for w in enumerate_up_words(sorted(a.alphabet), 2, 2):
                     if small(w):
                         assert large(w)
+
+    def test_queries_never_read_transition_sets(self, monkeypatch):
+        """With ``Tile.transitions`` raising, every answer equals the one given before."""
+        cases = [(name, a, None) for name, a in determinization_corpus()]
+        cases += [("rabin-two-pair-morphism", *rabin_to_oba(rabin_two_pair()))]
+        cases += [("rabin-behavioural-morphism", *rabin_to_oba(rabin_behavioral_two_pair()))]
+        cases += [(f"eps-{name}", *parity_to_oba(p)) for name, p in eps_complete_corpus()]
+        queries = []
+        for name, a, morphism in cases:
+            letters = sorted(morphism.as_dict() if morphism is not None else a.alphabet)
+            bounds = (2, 3) if len(letters) <= 3 else (1, 2)
+            queries.append((name, a, morphism, list(enumerate_up_words(letters, *bounds))))
+        before = [[ObaOracle(a, morphism)(w) for w in words] for _, a, morphism, words in queries]
+        assert {v for answers in before for v in answers} == {True, False}
+
+        def unread(tile):
+            raise AssertionError("a membership query read Tile.transitions")
+
+        monkeypatch.setattr(Tile, "transitions", property(unread))
+        for (name, a, morphism, words), answers in zip(queries, before):
+            oracle = ObaOracle(a, morphism)
+            assert [oracle(w) for w in words] == answers, name
 
 
 class TestOmegaPower:

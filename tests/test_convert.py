@@ -20,13 +20,13 @@ from obat.convert import (
     check_eps_complete,
     horizontal_complete_alphabet,
     parity_to_oba,
-    pref_leq,
     rabin_tile_generator,
     rabin_to_oba,
 )
 from obat.determinize import apply_eps_completion, determinize
 from obat.verify import enumerate_up_words, equiv_up
 
+from test_eps_reference import pref_leq
 from zoo import determinization_corpus, eps_complete_corpus, eps_figure, make_eps_complete, rabin_two_pair
 
 

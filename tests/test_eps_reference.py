@@ -35,7 +35,6 @@ from obat.convert import (
     _odd_ranks,
     check_eps_complete,
     parity_to_oba,
-    pref_leq,
 )
 from obat.determinize import apply_eps_completion, determinize
 
@@ -45,6 +44,14 @@ AXIOMS = {"reflexivity", "transitivity", "totality", "refinement", "strict-varia
 
 
 # --- set-based references ------------------------------------------------------
+
+
+def pref_leq(c: int, x: int) -> bool:
+    """Preference order on priorities: every even beats every odd, low evens
+    and high odds first."""
+    if c % 2 == 0:
+        return c <= x if x % 2 == 0 else True
+    return False if x % 2 == 0 else c >= x
 
 
 def ref_relations(a):

@@ -1,28 +1,27 @@
-"""Differential test of ``ObaOracle`` against its set-based predecessor.
+"""Differential test of ``ObaOracle`` against its set-based, SCC-searching predecessor.
 
 The reference below keeps the earlier oracle: a frozenset successor table
-per letter, prefixes folded as explicit state sets, and the period-boundary
-states as the union of the orbit of the prefix's set, met with the
-frozenset of accepting boundary states per period.  The library holds a
-state set as its greatest state instead (every reachable set is {0..m}) and
-keeps one table per class of periods.  Both must give the same verdict, or raise
-the same usage error, on every query, and ``accepts(after(u), v)`` must
-equal the reference's ``member``, on the zoo, the 54-automaton corpus,
-seeded random automata with up to six states, the horizontal-complete
-alphabets up to n = 4, the Rabin and ε-complete conversions with their
-morphisms, and the long words of the figures.
-
-The same runs check the library oracle against the ω-power criterion, a
-candidate replacement for its SCC search: v^ω is accepted from {0..m} iff
-the automaton with initial set {0..m} accepts t_v^ω for t_v the product of
-v's tiles (``omega_power_accepts``), for every m from -1, where nothing is
+per letter, prefixes folded as explicit state sets, the period-boundary
+states as the union of the orbit of the prefix's set, and a period's
+accepting boundary states found by a strongly-connected-component search of
+its unrolled graph (position i of the period times the states, an edge per
+transition of letter i), met with that orbit.  The library holds a state set
+as its greatest state instead (every reachable set is {0..m}) and decides a
+period by the single-tile ω-power criterion: v^ω is accepted from {0..m}
+iff some q ≤ m has a horizontal Büchi transition (q, 0, q) in the product
+t_v of v's tiles.  Both must give the same verdict, or raise the same usage
+error, on every query, and ``accepts(after(u), v)`` must equal the
+reference's ``member``, on the zoo, the 54-automaton corpus, seeded random
+automata with up to six states, the horizontal-complete alphabets up to
+n = 4, the Rabin and ε-complete conversions with their morphisms, and the
+long words of the figures.  The same runs check ``accepts(m, v)`` against
+``omega_power_accepts`` on t_v for every m from -1, where nothing is
 accepted, to |Q| - 1.
 
-The library runs that SCC search once per class of periods under rotation
-and power and reads each period's answer from the class's table;
-``per_period_least_accepting`` keeps the search it did once per period, and
-every period up to five letters, asked in shuffled order, must get the same
-answer from both.
+The library fills one table per class of periods under rotation and power
+and reads each period's answer from it; ``per_period_least_accepting`` runs
+the SCC search once per period, and every period up to five letters, asked
+in shuffled order, must get the same answer from both.
 """
 
 import functools
@@ -40,7 +39,7 @@ from obat import (
     product,
     up,
 )
-from obat.automata import _require_letters, _scc_partition
+from obat.automata import _require_letters
 from obat.convert import horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
 from obat.verify import enumerate_up_words, finite_words
 
@@ -83,6 +82,48 @@ def _orbit_union(start, image):
             return frozenset(union)
         seen.add(cur)
         union |= cur
+
+
+def _scc_partition(nodes, succ) -> dict:
+    """Map each node to a strongly-connected-component id (iterative Kosaraju)."""
+    order: list = []
+    seen = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        stack = [(start, iter(succ.get(start, ())))]
+        seen.add(start)
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(node)
+                stack.pop()
+    pred: dict = {}
+    for p, qs in succ.items():
+        for q in qs:
+            pred.setdefault(q, []).append(p)
+    comp: dict = {}
+    cid = 0
+    for node in reversed(order):
+        if node in comp:
+            continue
+        stack = [node]
+        comp[node] = cid
+        while stack:
+            cur = stack.pop()
+            for nxt in pred.get(cur, ()):
+                if nxt not in comp:
+                    comp[nxt] = cid
+                    stack.append(nxt)
+        cid += 1
+    return comp
 
 
 class RefObaOracle:
@@ -147,7 +188,7 @@ class RefObaOracle:
 def per_period_least_accepting(oracle, period):
     """Least q such that (q, position 0) can cycle through a Büchi edge; |Q| if there is none.
 
-    The library's search before it was shared per conjugacy class: one SCC
+    The library's SCC search before it was shared per conjugacy class: one
     partition of this period's own unrolled graph, nothing cached.
     """
     a = oracle.automaton

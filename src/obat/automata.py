@@ -17,6 +17,7 @@ power (see each class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .tiles import (
     StateUniverse,
@@ -112,7 +113,7 @@ class ParityAutomaton:
         lo, hi = self.index
         if lo > hi:
             raise ValidationError(f"empty priority index [{lo},{hi}]")
-        if not all(isinstance(s, str) for s in self.states):
+        if not all(map(isinstance, self.states, repeat(str))):
             raise ValidationError("state identifiers must be strings")
         stateset = set(self.states)
         if len(stateset) != len(self.states):
@@ -131,15 +132,11 @@ class ParityAutomaton:
         if self.deterministic:
             if len(self.initial) != 1:
                 raise ValidationError("deterministic automaton needs exactly one initial state")
-            seen: set[tuple[str, str]] = set()
-            for (p, a, _, _) in self.transitions:
-                if a == EPS:
-                    continue
-                if (p, a) in seen:  # name the least repeated pair, whatever the hash seed
-                    pairs = sorted((p, a) for (p, a, _, _) in self.transitions if a != EPS)
-                    p, a = next(x for x, y in zip(pairs, pairs[1:]) if x == y)
-                    raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
-                seen.add((p, a))
+            pairs = [(p, a) for (p, a, _, _) in self.transitions if a != EPS]
+            if len(set(pairs)) != len(pairs):  # name the least repeated pair, whatever the hash seed
+                pairs.sort()
+                p, a = next(x for x, y in zip(pairs, pairs[1:]) if x == y)
+                raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
 
     @property
     def effective_alphabet(self) -> frozenset[str]:

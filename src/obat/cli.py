@@ -365,12 +365,15 @@ def _write(path: str, chunks) -> None:
     An existing file is overwritten in place, not truncated first: a regular
     file is cut at the end of what was written, also when writing fails, so
     it keeps its inode, links and mode and never a tail of its old bytes.
-    Devices and pipes are only written to.
+    A write that ends at or past the old size leaves no tail, so a new file
+    or a rewrite at least as long is not cut.  Devices and pipes are only
+    written to.
     """
     try:
         with open(path, "w", encoding="utf-8", opener=_open_in_place) as f:
             fd = f.fileno()
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            info = os.fstat(fd)
+            regular = stat.S_ISREG(info.st_mode)
             try:
                 f.writelines(chunks)
                 f.flush()
@@ -379,8 +382,8 @@ def _write(path: str, chunks) -> None:
                     with suppress(OSError):
                         os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
                 raise
-            if regular:
-                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            if regular and (end := os.lseek(fd, 0, os.SEEK_CUR)) < info.st_size:
+                os.ftruncate(fd, end)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -575,7 +578,7 @@ def cmd_stats(args) -> int:
     if kind == "ordered-buchi":
         residuals, budget = residual_budget(automaton)
         print(f"|Q| = {automaton.universe.size}")
-        print(f"|Γ| = {len(automaton.alphabet)}")
+        print(f"|Gamma| = {len(automaton.alphabet)}")
         print(f"R_A = {{{', '.join(automaton.universe.name(q) for q in sorted(residuals))}}}")
         print(f"|S_R| = {budget}")
         print(f"record bound = {record_count_bound(automaton.universe.size)}")
@@ -681,17 +684,37 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None  # built by the first main call
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``parser``'s subcommand parsers by name; empty if it has none."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
 def main(argv=None) -> int:
     """Run one command; safe to call repeatedly in one process.
 
-    The parser is built on the first call and reused: parsing keeps no state
-    between calls, and each command resolves what it uses at call time.
+    The parsers are built on the first call and reused: parsing keeps no
+    state between calls, and each command resolves what it uses at call
+    time.  The leading words that name a subcommand (``equiv``, or
+    ``convert parity``) select its own parser, which parses the rest alone.
+    The top-level parser runs only when no subcommand is named (none, an
+    unknown one, or a top-level option such as ``-h`` first) and when
+    arguments are left over, so its usage and "unrecognized arguments"
+    wording are those of a full ``build_parser().parse_args(argv)``.
     """
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, rest = _parser, argv
+    while rest and rest[0] in (named := _subcommands(parser)):
+        parser, rest = named[rest[0]], rest[1:]
     try:
-        args = _parser.parse_args(argv)
+        if parser is _parser:  # no subcommand named
+            args = _parser.parse_args(argv)
+        else:
+            args, extra = parser.parse_known_args(rest)
+            if extra:  # the top-level parser words the "unrecognized arguments" error
+                args = _parser.parse_args(argv)
     except SystemExit as e:
         return USAGE if e.code not in (0, None) else OK
     try:
@@ -702,7 +725,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return INVALID
-    except UnicodeEncodeError as e:  # text the standard output's encoding cannot hold, such as stats' Γ
+    except UnicodeEncodeError as e:  # text the standard output's encoding cannot hold, such as a state name
         print(f"usage error: cannot write {e.object[e.start:e.end]!r} as {e.encoding}", file=sys.stderr)
         return USAGE
 

@@ -12,10 +12,14 @@ validated Record, and candidate_records the explicit set S_R, whose size
 ``obat.determinize.residual_budget`` gives in closed form; equiv_up compares
 two membership oracles over every ultimately-periodic word within bounds;
 check_local_preference samples the three factor-closure properties that
-characterize Eve-positional languages.  Both decide each (prefix state, period) class once, through the
-oracles' ``after``/``accepts`` split (``split_oracle``).  All enumeration
-runs in a fixed order (prefix length, period length, lexicographic) so
-reported counterexamples are reproducible.
+characterize Eve-positional languages.  Both go through the oracles'
+``after``/``accepts`` split (``split_oracle``) and ask ``accepts`` at most
+once per distinct (prefix state, period).  check_local_preference asks
+``after`` once per prefix state and continuation prefix, holds the sets of
+accepted continuations as int bitmasks, and builds a UPWord only for a
+witness it reports.  All enumeration runs in a fixed order (prefix length,
+period length, lexicographic) so reported counterexamples, and the first
+exception an oracle raises, are reproducible.
 
 The preference properties quantify over arbitrary infinite continuations in
 their general form; since ω-regular languages are determined by their
@@ -245,9 +249,11 @@ def equiv_up(
     """First UP word within bounds on which the oracles disagree, or None.
 
     The verdict on u·v^ω depends only on the states after u and on v, so the
-    periods are compared once per distinct pair of prefix states; the
-    prefixes are still scanned in order, which keeps the first word.  Bounds
-    that compare nothing, max_prefix < 0 or max_period < 1, are usage errors.
+    periods are compared once per distinct pair of prefix states, and each
+    oracle is asked once per distinct (state, period); the prefixes and
+    periods are still scanned in order, which keeps the first word and the
+    first exception.  Bounds that compare nothing, max_prefix < 0 or
+    max_period < 1, are usage errors.
     """
     if max_prefix < 0 or max_period < 1:
         raise UsageError(
@@ -255,11 +261,24 @@ def equiv_up(
         )
     (after1, accepts1), (after2, accepts2) = split_oracle(m1), split_oracle(m2)
     periods = list(finite_words(alphabet, max_period, min_len=1))
+    # state -> its verdicts on periods[:len(row)]: each scan starts at the
+    # first period, so a state's verdicts always fill a prefix of the list
+    rows1: dict = {}
+    rows2: dict = {}
     first: dict = {}  # pair of prefix states -> first period they disagree on, or None
     for u in finite_words(alphabet, max_prefix):
         key = s1, s2 = after1(u), after2(u)
         if key not in first:
-            first[key] = next((v for v in periods if accepts1(s1, v) != accepts2(s2, v)), None)
+            first[key] = None
+            row1, row2 = rows1.setdefault(s1, []), rows2.setdefault(s2, [])
+            for i, v in enumerate(periods):
+                if i == len(row1):
+                    row1.append(accepts1(s1, v))
+                if i == len(row2):
+                    row2.append(accepts2(s2, v))
+                if row1[i] != row2[i]:
+                    first[key] = v
+                    break
         if first[key] is not None:
             return UPWord(u, first[key])
     return None
@@ -302,6 +321,14 @@ class PreferenceReport:
         return "\n".join([head] + [str(v) for v in self.violations])
 
 
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of ``bits``, least first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 # prefix length of the sampled continuations w; the report lists it among its bounds
 MAX_W_PREFIX = 2
 
@@ -332,58 +359,73 @@ def check_local_preference(
     report = PreferenceReport(
         bounds={"max_u": max_u, "max_period": max_period, "max_w_prefix": MAX_W_PREFIX}
     )
-    # The oracles cache no prefixes and every prefix here is asked many
-    # times, so ``after`` is cached for the length of this call.
+    # The oracles cache no prefixes and some prefixes here are asked more
+    # than once, so ``after`` is cached for the length of this call.
     after_of, accepts = split_oracle(member)
     after = functools.cache(after_of)
-    memo: dict = {}  # (state after the prefix, period) -> verdict
+    memo: dict = {}  # (state after a prefix, period) -> verdict
 
-    def m(prefix: tuple[str, ...], period: tuple[str, ...]) -> bool:
-        key = (after(prefix), period)
+    def m(state, period: tuple[str, ...]) -> bool:
+        key = (state, period)
         if key not in memo:
-            memo[key] = accepts(*key)
+            memo[key] = accepts(state, period)
         return memo[key]
 
     us = list(finite_words(alphabet, max_u))
     vs = list(finite_words(alphabet, max_u, min_len=1))
-    ws = list(enumerate_up_words(alphabet, MAX_W_PREFIX, max_period))
-    continuations: dict = {}  # state after a prefix -> indices of the ws it accepts
+    # The continuations w, in the order of enumerate_up_words: w number i
+    # is xs[i // len(ps)]·ps[i % len(ps)]^ω.  A set of them is an int with
+    # bit i set for w number i.
+    xs = list(finite_words(alphabet, MAX_W_PREFIX))
+    ps = list(finite_words(alphabet, max_period, min_len=1))
 
-    def accepted_after(prefix: tuple[str, ...]) -> frozenset[int]:
+    def w(i: int) -> UPWord:
+        return UPWord(xs[i // len(ps)], ps[i % len(ps)])
+
+    rows: dict = {}  # state -> the periods p with p^ω accepted from it, as bits
+
+    def row(state) -> int:
+        if state not in rows:
+            rows[state] = sum(1 << j for j, p in enumerate(ps) if m(state, p))
+        return rows[state]
+
+    continuations: dict = {}  # state after a prefix -> the ws it accepts, as bits
+
+    def accepted_after(prefix: tuple[str, ...]) -> int:
         state = after(prefix)
         if state not in continuations:
-            continuations[state] = frozenset(
-                i for i, w in enumerate(ws) if m(prefix + w.prefix, w.period)
-            )
+            continuations[state] = sum(row(after(prefix + x)) << i * len(ps) for i, x in enumerate(xs))
         return continuations[state]
 
     # (1) holds iff the accepted-continuation sets of the prefixes form a
     # chain; an incomparable pair yields the witnesses directly.
     accepted = {u: accepted_after(u) for u in us}
     for u, u2 in itertools.combinations(us, 2):
-        only_u = accepted[u] - accepted[u2]
-        only_u2 = accepted[u2] - accepted[u]
+        only_u = accepted[u] & ~accepted[u2]
+        only_u2 = accepted[u2] & ~accepted[u]
         if only_u and only_u2:
             report.violations.append(
                 PreferenceViolation(
                     1,
-                    {"u": u, "u'": u2, "w": ws[min(only_u)], "w'": ws[min(only_u2)]},
+                    {"u": u, "u'": u2, "w": w(next(_bit_indices(only_u))), "w'": w(next(_bit_indices(only_u2)))},
                 )
             )
 
     # (2) fails for (u, v) exactly on the continuations of u·v that u lacks,
     # when u·v^ω is rejected.
     for u in us:
+        state = after(u)
         for v in vs:
-            if not m(u, v):
-                for i in sorted(accepted_after(u + v) - accepted[u]):
-                    report.violations.append(PreferenceViolation(2, {"u": u, "v": v, "w": ws[i]}))
+            if not m(state, v):
+                for i in _bit_indices(accepted_after(u + v) & ~accepted[u]):
+                    report.violations.append(PreferenceViolation(2, {"u": u, "v": v, "w": w(i)}))
 
     for u in us:
+        state = after(u)
         for v in vs:
             for v2 in vs:
-                if m(u, v + v2):
-                    if not m(u, v) and not m(u, v2):
+                if m(state, v + v2):
+                    if not m(state, v) and not m(state, v2):
                         report.violations.append(
                             PreferenceViolation(3, {"u": u, "v": v, "v'": v2})
                         )

@@ -283,7 +283,7 @@ class TestCommands:
         assert len(walks) == 1
         heads = sorted(obat.reachable_residuals(a))
         assert capsys.readouterr().out == (
-            f"|Q| = {a.universe.size}\n|Γ| = {len(a.alphabet)}\n"
+            f"|Q| = {a.universe.size}\n|Gamma| = {len(a.alphabet)}\n"
             f"R_A = {{{', '.join(a.universe.name(q) for q in heads)}}}\n"
             f"|S_R| = {residual_budget(a)[1]}\nrecord bound = {obat.record_count_bound(a.universe.size)}\n"
         )
@@ -459,14 +459,24 @@ class TestCommands:
         assert ascii_dot.read_bytes() == here_dot.read_bytes()
         assert "é0".encode() in ascii_dot.read_bytes()
 
-    def test_unencodable_standard_output_is_a_usage_error(self, tmp_path):
-        """stats prints |Γ|, which ASCII cannot hold: one stderr line and exit 2, no traceback."""
+    def test_stats_output_is_ascii(self, tmp_path, capsys):
+        """stats on an ordered Büchi file with ASCII state names runs to the end under an ASCII locale."""
         path = tmp_path / "inf_a.json"
         path.write_text(json.dumps(INF_A_DOC))
         done = self._run_ascii_locale(tmp_path, "stats", str(path))
+        assert (done.returncode, done.stderr) == (OK, b"")
+        assert main(["stats", str(path)]) == OK
+        here = capsys.readouterr().out
+        assert done.stdout.decode("ascii") == here and here.startswith("|Q| = 2\n|Gamma| = 2\nR_A = ")
+
+    def test_unencodable_standard_output_is_a_usage_error(self, tmp_path):
+        """stats prints a state name that ASCII cannot hold: one stderr line and exit 2, no traceback."""
+        path = tmp_path / "names.json"
+        path.write_bytes(json.dumps(dict(INF_A_DOC, states=["é0", "é1"], initial=["é0", "é1"]), ensure_ascii=False).encode())
+        done = self._run_ascii_locale(tmp_path, "stats", str(path))
         assert done.returncode == USAGE
-        assert done.stdout == b"|Q| = 2\n"
-        assert done.stderr == b"usage error: cannot write '\\u0393' as ascii\n"
+        assert done.stdout == b"|Q| = 2\n|Gamma| = 2\n"
+        assert done.stderr == b"usage error: cannot write '\\xe9' as ascii\n"
 
     @pytest.mark.parametrize(
         "doc, message",

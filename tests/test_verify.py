@@ -359,3 +359,101 @@ class TestEachClassDecidedOnce:
                 check_local_preference(oracle, letters)
                 # one lookup per u, two per (u, v), three per (u, v, v'); one sweep of ws per state
                 assert len(calls) <= len(us) * (1 + 2 * len(vs) + 3 * len(vs) ** 2) + len(states) * ws
+
+
+def equiv_per_class(m1, m2, alphabet, max_prefix, max_period):
+    """Reference: one scan of the periods per distinct pair of prefix states, each asking both oracles afresh."""
+    (after1, accepts1), (after2, accepts2) = split_oracle(m1), split_oracle(m2)
+    periods = list(finite_words(alphabet, max_period, min_len=1))
+    first = {}
+    for u in finite_words(alphabet, max_prefix):
+        key = s1, s2 = after1(u), after2(u)
+        if key not in first:
+            first[key] = next((v for v in periods if accepts1(s1, v) != accepts2(s2, v)), None)
+        if first[key] is not None:
+            return UPWord(u, first[key])
+    return None
+
+
+class Refusing:
+    """An oracle that raises, naming itself, on any word with the letter it refuses."""
+
+    def __init__(self, inner, letter, name):
+        self.inner, self.letter, self.name = inner, letter, name
+
+    def _check(self, word):
+        if self.letter in word:
+            raise UsageError(f"{self.name} refuses {self.letter!r}")
+
+    def after(self, prefix):
+        self._check(prefix)
+        return self.inner.after(prefix)
+
+    def accepts(self, state, period):
+        self._check(period)
+        return self.inner.accepts(state, period)
+
+    def __call__(self, w):
+        return self.accepts(self.after(w.prefix), w.period)
+
+
+def _outcome(compare, *args):
+    try:
+        return "returned", compare(*args)
+    except UsageError as e:
+        return "raised", str(e)
+
+
+class TestEachOracleAskedOnce:
+    """``equiv_up`` asks each oracle once per distinct (state, period), in the order of the per-class scan."""
+
+    BOUNDS = (3, 3)
+
+    def test_equiv_calls_are_the_per_class_calls_without_repeats(self):
+        repeats = found = 0
+        for a, b in _corpus_pairs(12):
+            letters = sorted(a.alphabet)
+            for make1, make2 in itertools.product(_flavours(a), _flavours(b)):
+                o1, o2, r1, r2 = make1(), make2(), make1(), make2()
+                calls = [TestEachClassDecidedOnce._counting(o) for o in (o1, o2, r1, r2)]
+                got = equiv_up(o1, o2, letters, *self.BOUNDS)
+                assert got == equiv_per_class(r1, r2, letters, *self.BOUNDS)
+                assert got == equiv_per_word(make1(), make2(), letters, *self.BOUNDS)
+                for mine, reference in zip(calls[:2], calls[2:]):
+                    assert mine == list(dict.fromkeys(reference))
+                    repeats += len(reference) - len(mine)
+                found += got is not None
+        assert repeats and found
+
+    def test_equiv_raises_the_per_class_exception(self):
+        """Oracles that refuse letters: the first refusal of the per-class scan is raised, also when both refuse."""
+        raised = set()  # which oracle's refusal was raised
+        for a, b in _corpus_pairs(12):
+            letters = sorted(a.alphabet)
+            for x, y in itertools.product(letters[:2], repeat=2):
+                for make1, make2 in itertools.product(_flavours(a), _flavours(b)):
+                    outcomes = [
+                        _outcome(compare, Refusing(make1(), x, "first"), Refusing(make2(), y, "second"), letters, *self.BOUNDS)
+                        for compare in (equiv_up, equiv_per_class)
+                    ]
+                    assert outcomes[0] == outcomes[1]
+                    if outcomes[0][0] == "raised":
+                        raised.add(outcomes[0][1].split()[0])
+        assert raised == {"first", "second"}
+
+    def test_local_preference_asks_each_prefix_once(self):
+        for _, a in determinization_corpus()[:12]:
+            letters = sorted(a.alphabet)
+            us = list(finite_words(letters, 2))
+            vs = list(finite_words(letters, 2, min_len=1))
+            xs = list(finite_words(letters, 2))
+            for make in _flavours(a):
+                oracle = make()
+                states = {oracle.after(u + v) for u in us for v in [()] + vs}
+                calls = []
+                after = oracle.after
+                oracle.after = lambda prefix: calls.append(prefix) or after(prefix)
+                got = _violations(check_local_preference(oracle, letters))
+                assert got == preference_per_word(make(), letters)
+                # each u, each u·v whose period is rejected, and u·x for each continuation prefix x of each state
+                assert len(calls) == len(set(calls)) <= len(us) * (1 + len(vs)) + len(states) * len(xs)

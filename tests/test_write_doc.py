@@ -201,3 +201,16 @@ def test_failed_write_leaves_no_old_tail(tmp_path, before_failure):
         _write(str(path), failing())
     assert str(raised.value) == f"cannot write {path}: No space left on device"
     assert path.read_bytes() == "".join(chunks).encode()
+
+
+@pytest.mark.parametrize("old_size, truncates", [(None, 0), (0, 0), (len(EXPECTED), 0), (2 * len(EXPECTED), 1)])
+def test_file_is_cut_only_when_shorter_than_before(tmp_path, monkeypatch, old_size, truncates):
+    """A new file, an empty one and a same-size rewrite need no ``ftruncate``; a shorter rewrite needs one."""
+    path = tmp_path / "out.json"
+    if old_size is not None:
+        path.write_bytes(b"#" * old_size)
+    calls, real_ftruncate = [], os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: calls.append(length) or real_ftruncate(fd, length))
+    write_doc(DOC, str(path))
+    assert path.read_bytes() == EXPECTED
+    assert calls == [len(EXPECTED)] * truncates

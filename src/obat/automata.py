@@ -9,9 +9,9 @@ the determinization.
 
 An oracle folds each query's prefix from its start state with no memo, so a
 long-lived oracle holds nothing per distinct prefix; the caches that grow
-with queries are keyed by period, by a period's value-set matrix for
-``NpaOracle``, or for ``ObaOracle`` by a period's class under rotation and
-power (see each class).
+with queries are keyed by period, for ``NpaOracle`` also by a period's
+value-set matrix and by (period element, letter), or for ``ObaOracle`` by a
+period's class under rotation and power (see each class).
 """
 
 from __future__ import annotations
@@ -217,37 +217,19 @@ def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
     return report
 
 
-def _post(succ: dict, states: frozenset) -> frozenset:
-    """Image of ``states`` under a successor map: each state maps to its
-    successors, as a set or as a matrix row keyed by successor."""
-    out: set = set()
-    for p in states:
-        out.update(succ.get(p, ()))
-    return frozenset(out)
-
-
 def _fold(start: frozenset, succs) -> frozenset:
     """States reachable from ``start`` through the successor maps ``succs`` in turn.
 
-    A plain loop, so a word of any length costs no recursion and no memory
-    beyond the current state set.
+    Each map takes a state to its successors, as a set or as a matrix row
+    keyed by successor.  A plain loop, so a word of any length costs no
+    recursion and no memory beyond the current state set.
     """
     for succ in succs:
-        start = _post(succ, start)
+        out: set = set()
+        for p in start:
+            out.update(succ.get(p, ()))
+        start = frozenset(out)
     return start
-
-
-def _orbit_union(start: frozenset, image) -> frozenset:
-    """Union of ``start``, ``image(start)``, ``image(image(start))``, ... up to the first repeat."""
-    seen = {start}
-    union = set(start)
-    cur = start
-    while True:
-        cur = image(cur)
-        if cur in seen:
-            return frozenset(union)
-        seen.add(cur)
-        union |= cur
 
 
 def _walk(m: int, tops) -> int:
@@ -484,28 +466,67 @@ def _mat_key(a: _Matrix):
     return frozenset((p, q, vals) for p, row in a.items() for q, vals in row.items())
 
 
+def _reach(a: _Matrix, targets: frozenset) -> frozenset:
+    """The states from which ``a``'s graph (p -> q for each stored cell) reaches ``targets``, these included."""
+    if not targets:
+        return targets
+    pred: dict = {}
+    for p, row in a.items():
+        for q in row:
+            pred.setdefault(q, []).append(p)
+    reach = set(targets)
+    todo = list(targets)
+    while todo:
+        for p in pred.get(todo.pop(), ()):
+            if p not in reach:
+                reach.add(p)
+                todo.append(p)
+    return frozenset(reach)
+
+
+class _Element:
+    """A period element: an ε-closed value-set matrix, interned per oracle, and its reach set."""
+
+    __slots__ = ("matrix", "reach")
+
+    def __init__(self, matrix: _Matrix, reach: frozenset):
+        self.matrix = matrix
+        self.reach = reach
+
+
 class NpaOracle:
     """Exact UP-word membership for parity automata with ε-transitions.
 
     The language is the one over the ε-free alphabet: runs may take finitely
     many ε-transitions between letters.  Explicit ε letters in a query are
     allowed and consume at least one ε-transition each (the intertwined-word
-    reading); the period must contain at least one real letter.
+    reading); the period must contain at least one real letter.  As for the
+    other oracles, a letter outside the alphabet is a usage error, and that
+    includes a transition's letter outside a declared ``alphabet``.
 
     The prefix only decides where the period starts, so it is folded afresh
     on every query as a state set through the rows of each ε-closed letter's
     matrix.  No stored cell is ever empty, so a row's keys are exactly its
-    state's successors.  Period matrix entries collect every least-priority
-    value achievable between two states, so iterating powers of the period
-    matrix until they repeat covers every lasso shape.  The matrix products
-    are the costly part of a query, and two caches save them.  ``_period``
-    holds per queried period its value-set matrix and its accepting states,
-    built from the entry of the period one letter shorter when there is one.
-    ``_acc`` holds the accepting states once per distinct matrix, keyed by
-    :func:`_mat_key`: they depend only on the matrix, and are the same for
-    each of its powers, since a closed walk over j periods repeated k times
-    is one over jk periods with the same least priority.  So the powers are
-    iterated only for a matrix seen neither as a period's nor as a power.
+    state's successors.  A period's value-set matrix collects every
+    least-priority value achievable between two states, so iterating its
+    powers until they repeat covers every lasso shape.
+
+    A queried period maps to its *element*: the matrix, interned per
+    distinct matrix (``_element``, keyed by :func:`_mat_key`), and its reach
+    set, the states from which the matrix's graph reaches an accepting state.
+    The states reachable from a start set S over whole periods are exactly
+    those of that graph reachable from S, so ``accepts(S, v)`` is whether S
+    meets v's reach set.  Matrix products are the costly part, and three
+    tables save them.  ``_period`` maps each queried period to its element.
+    ``_step`` maps (element, letter) to the element of their product, so a
+    period one letter longer than one with an entry costs at most one
+    product, and none when another period with the same element met that
+    letter first; a period with no shorter entry is multiplied out and adds
+    no step.  ``_acc`` holds the accepting states once per distinct matrix:
+    they depend only on the matrix, and are the same for each of its powers,
+    since a closed walk over j periods repeated k times is one over jk
+    periods with the same least priority.  So the powers are iterated only
+    for a matrix seen neither as an element's nor as a power.
     """
 
     def __init__(self, a: ParityAutomaton):
@@ -514,13 +535,15 @@ class NpaOracle:
         for (p, x, c, q) in a.transitions:
             row = self._rel.setdefault(x, {}).setdefault(p, {})
             row[q] = row.get(q, frozenset()) | {c}
-        self._letters = a.effective_alphabet | {EPS} | set(self._rel)
+        self._letters = a.effective_alphabet | {EPS}
         # the unit of min: odd, so it never looks accepting, and above every priority of the index
         self._unit: _Matrix = {p: {p: frozenset({(a.index[1] + 1) | 1})} for p in a.states}
         self._eclosure = self._compute_eclosure()
         # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
-        self._period: dict[tuple[str, ...], tuple] = {}  # period -> (matrix, accepting states)
+        self._period: dict[tuple[str, ...], _Element] = {}
+        self._element: dict[frozenset, _Element] = {}  # matrix key -> element
+        self._step: dict[tuple[_Element, str], _Element] = {}
         self._acc: dict[frozenset, frozenset[str]] = {}  # matrix key -> accepting states
 
     def _compute_eclosure(self) -> _Matrix:
@@ -538,24 +561,12 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _entry(self, period: tuple[str, ...]):
-        """(matrix, accepting states) of a period.
+    def _accepting(self, v: _Matrix, key: frozenset) -> frozenset[str]:
+        """The states with an even-value self-cycle over some power of ``v``, whose key is ``key``.
 
-        The accepting states are those with an even-value self-cycle over
-        some power of the period matrix.  The powers are iterated only for a
-        matrix not yet in ``_acc``, and the answer is stored there under the
-        key of each power visited.
+        The powers are iterated only for a matrix not yet in ``_acc``, and
+        the answer is stored there under the key of each power visited.
         """
-        if period in self._period:
-            return self._period[period]
-        shorter = self._period.get(period[:-1])
-        if shorter is None:
-            v, rest = self._unit, period
-        else:
-            v, rest = shorter[0], period[-1:]
-        for x in rest:
-            v = _mat_mul(v, self._letter(x))
-        key = _mat_key(v)
         acc = self._acc.get(key)
         if acc is None:
             power = v
@@ -570,8 +581,31 @@ class NpaOracle:
                 key = _mat_key(power)
             acc = frozenset(found)
             self._acc.update(dict.fromkeys(seen, acc))
-        entry = self._period[period] = (v, acc)
-        return entry
+        return acc
+
+    def _intern(self, v: _Matrix) -> _Element:
+        """The element of the period matrix ``v``, made on the matrix's first appearance."""
+        key = _mat_key(v)
+        element = self._element.get(key)
+        if element is None:
+            element = self._element[key] = _Element(v, _reach(v, self._accepting(v, key)))
+        return element
+
+    def _new_period(self, period: tuple[str, ...]) -> _Element:
+        """The element of a period without an entry, entered in ``_period``."""
+        shorter = self._period.get(period[:-1])
+        if shorter is None:
+            v = self._letter(period[0])
+            for x in period[1:]:
+                v = _mat_mul(v, self._letter(x))
+            element = self._intern(v)
+        else:
+            step = (shorter, period[-1])
+            element = self._step.get(step)
+            if element is None:
+                element = self._step[step] = self._intern(_mat_mul(shorter.matrix, self._letter(period[-1])))
+        self._period[period] = element
+        return element
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
         """The start set of the period: the states reachable after ``prefix``."""
@@ -580,11 +614,13 @@ class NpaOracle:
 
     def accepts(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the state set ``state``."""
-        _require_letters(self._letters, period)
-        if all(x == EPS for x in period):
-            raise UsageError("period must contain a non-ε letter")
-        v, acc = self._entry(period)
-        return bool(_orbit_union(state, lambda s: _post(v, s)) & acc)
+        element = self._period.get(period)
+        if element is None:  # a period with an entry passed both checks when it was entered
+            _require_letters(self._letters, period)
+            if all(x == EPS for x in period):
+                raise UsageError("period must contain a non-ε letter")
+            element = self._new_period(period)
+        return not state.isdisjoint(element.reach)
 
     def member(self, w: UPWord) -> bool:
         """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""

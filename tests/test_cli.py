@@ -615,6 +615,25 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"validation error: {message}\n" * 3
 
+    @pytest.mark.parametrize("kind", ["det-parity", "parity"])
+    def test_transition_letter_outside_declared_alphabet_is_a_usage_error(self, tmp_path, capsys, kind):
+        doc = {
+            "kind": kind,
+            "states": ["x", "y"],
+            "initial": ["x"],
+            "index": [0, 1],
+            "alphabet": ["a"],
+            "transitions": [["x", "a", 0, "x"], ["x", "b", 1, "y"], ["y", "b", 0, "y"]],
+        }
+        path = tmp_path / "undeclared.json"
+        path.write_text(json.dumps(doc))
+        assert main(["member", str(path), "--period", "a"]) == OK
+        assert main(["member", str(path), "--period", "b"]) == USAGE
+        assert main(["member", str(path), "--prefix", "b", "--period", "a"]) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "true\n"
+        assert captured.err == "usage error: unknown letter 'b'\n" * 2
+
     @pytest.mark.parametrize(
         "spec, message",
         [

@@ -5,6 +5,7 @@ The long-word tests run at Python's default recursion limit, so an oracle
 that recursed once per letter would fail them.
 """
 
+import collections
 import itertools
 import json
 import os
@@ -21,7 +22,9 @@ from obat import (
     Morphism,
     NpaOracle,
     ObaOracle,
+    OrderedBuchiAutomaton,
     ParityAutomaton,
+    StateUniverse,
     UPWord,
     UsageError,
     apply_eps_completion,
@@ -34,7 +37,8 @@ import obat.automata
 from obat.automata import _mat_key, _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
-from obat.verify import enumerate_up_words, equiv_up
+from obat.convert import horizontal_complete_alphabet
+from obat.verify import enumerate_up_words, equiv_up, finite_words
 
 from zoo import (
     determinization_corpus,
@@ -179,9 +183,11 @@ class TestWalkDifferential:
 
     def test_state_grows_only_with_distinct_periods(self):
         """5,000 distinct prefixes over seven periods in four classes under rotation and power:
-        the OBA's per-class cache holds four entries, the NPA's per-period cache seven, its
-        per-matrix table one per distinct matrix among the periods' (six) and its letter tables
-        one per letter, and the last 4,000 prefixes add nothing."""
+        the OBA's per-class cache holds four entries; the NPA's per-period table holds seven,
+        its elements and its per-matrix acceptance table one per distinct matrix among the
+        periods' (six), its step table one per period one letter longer than an earlier one
+        (ab, ba, abb, aa), and its letter tables one per letter; the last 4,000 prefixes add
+        nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
         rng = random.Random(20261020)
@@ -192,7 +198,10 @@ class TestWalkDifferential:
         for oracle, grown in (
             (ObaOracle(a), {"_acc": 4}),
             (DpaOracle(det), {}),
-            (NpaOracle(apply_eps_completion(det)), {"_period": 7, "_acc": 6, "_letter_mat": 2}),
+            (
+                NpaOracle(apply_eps_completion(det)),
+                {"_period": 7, "_element": 6, "_step": 4, "_acc": 6, "_letter_mat": 2},
+            ),
         ):
             sizes = [_container_sizes(oracle)]
             for i, u in enumerate(sorted(prefixes)):
@@ -245,26 +254,87 @@ class TestNpaTables:
                 assert npa(w) == want, (name, w)
         assert verdicts == {True, False}
 
-    def test_equiv_runs_the_power_loop_once_per_matrix(self, monkeypatch):
-        """One ``equiv_up`` at bounds 2/3 asks 39 periods; each period matrix's powers are
-        iterated at most once, however many periods share it.  A power-loop product is one
-        whose right factor is a period matrix, not a letter's or the ε relation's."""
-        oba, _ = rabin_to_oba(rabin_two_pair())
-        det = determinize(oba)
-        npa = NpaOracle(apply_eps_completion(det))
-        right_factors = []
+    @pytest.mark.parametrize("n, records, sampled", [(3, 5, None), (4, 11, 200)])
+    def test_horizontal_complete_eps_completion(self, n, records, sampled):
+        """The ε-completed determinization of the horizontal-complete alphabet against
+        ``ObaOracle`` on the source, intertwined: every word with |u| <= 1 and |v| <= 2 (at
+        n = 4, |v| = 2 only for a seeded sample of the 6,561 periods), asked once per
+        distinct pair of prefix states, then seeded random words."""
+        u = StateUniverse(tuple(f"q{i}" for i in range(n)))
+        a = OrderedBuchiAutomaton(u, frozenset(range(n)), horizontal_complete_alphabet(u))
+        det = determinize(a)
+        assert len(det.states) == records
+        npa, oba = NpaOracle(apply_eps_completion(det)), ObaOracle(a)
+        letters = sorted(a.alphabet)
+        rng = random.Random(20261025 + n)
+        periods = list(finite_words(letters, 2, min_len=1))
+        if sampled:
+            periods[len(letters):] = rng.sample(periods[len(letters):], sampled)
+        starts = {}
+        for x in finite_words(letters, 1):  # any period will do: only the woven prefix is read
+            starts.setdefault((npa.after(intertwine(up(x, letters[:1])).prefix), oba.after(x)), x)
+        verdicts = set()
+        for (s, m), x in starts.items():
+            for v in periods:
+                want = oba.accepts(m, v)
+                verdicts.add(want)
+                assert npa.accepts(s, intertwine(up(x, v)).period) == want, (n, x, v)
+        assert verdicts == {True, False}
+        for _ in range(100):
+            w = _random_word(rng, letters, 6, 4)
+            assert npa(intertwine(w)) == oba(w), (n, w)
+
+    @staticmethod
+    def _count_products(monkeypatch):
+        """Each ``_mat_mul`` call from here on, as (calling function, right factor)."""
+        products = []
 
         def counted(a, b):
-            right_factors.append(b)
+            products.append((sys._getframe(1).f_code.co_name, b))
             return _mat_mul(a, b)
 
         monkeypatch.setattr(obat.automata, "_mat_mul", counted)
+        return products
+
+    def test_equiv_runs_the_power_loop_once_per_matrix(self, monkeypatch):
+        """One ``equiv_up`` at bounds 2/3 asks 39 periods in prefix-closed scans.  The period
+        products are the letters' ε-closure products (two per letter) and one per distinct
+        (element, letter) step, however many periods take that step; each element's powers
+        are iterated at most once, however many periods share it."""
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        det = determinize(oba)
+        npa = NpaOracle(apply_eps_completion(det))
+        products = self._count_products(monkeypatch)
         assert equiv_up(DpaOracle(det), npa, oba.letters, 2, 3) is None
-        not_periods = [npa._eclosure, *npa._rel.values(), *npa._letter_mat.values()]
-        loops = {id(b): b for b in right_factors if not any(b is m for m in not_periods)}
-        matrices = {_mat_key(v) for v, _ in npa._period.values()}
+        calls = collections.Counter(caller for caller, _ in products)
+        assert set(calls) == {"_letter", "_new_period", "_accepting"}
         assert len(npa._period) == 39
-        assert len({_mat_key(v) for v in loops.values()}) == len(loops) <= len(matrices) < 39
+        assert calls["_letter"] == 2 * len(npa._letter_mat) == 6
+        assert calls["_new_period"] == len(npa._step) < 39 - 3
+        loops = {id(b): b for caller, b in products if caller == "_accepting"}
+        assert len({_mat_key(v) for v in loops.values()}) == len(loops) <= len(npa._element) < 39
+
+    def test_unrelated_periods_add_one_element_and_no_step(self, monkeypatch):
+        """A stream of distinct intertwined periods, none one letter longer than an earlier one,
+        as random queries are: each is multiplied out from its first letter's matrix, and adds
+        its period, at most one element and no step."""
+        oba, _ = rabin_to_oba(rabin_two_pair())
+        npa = NpaOracle(apply_eps_completion(determinize(oba)))
+        products = self._count_products(monkeypatch)
+        rng = random.Random(20261024)
+        asked = 0
+        while asked < 300:
+            w = intertwine(_random_word(rng, oba.letters, 3, 6))
+            if w.period in npa._period or w.period[:-1] in npa._period:
+                continue
+            periods, elements = len(npa._period), len(npa._element)
+            del products[:]
+            npa(w)
+            assert len(npa._period) == periods + 1, w
+            assert elements <= len(npa._element) <= elements + 1, w
+            assert not npa._step, w
+            assert sum(caller == "_new_period" for caller, _ in products) == len(w.period) - 1, w
+            asked += 1
 
 
 class TestMorphismFold:

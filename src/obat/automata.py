@@ -78,14 +78,33 @@ class Morphism:
 class OrderedBuchiAutomaton:
     """Tile automaton over an ordered state set.
 
-    Tiles are upward-closed by construction.  Expected invariants (reported
-    by :func:`oba_validate`, not enforced at construction): the initial set
-    is downward-closed and every tile is over the automaton's universe.
+    Tiles are upward-closed by construction.  Construction also checks the
+    other invariants, in this order, and raises a :class:`ValidationError`
+    ``"<kind>: <witness>"`` for the first one violated: every initial state
+    is in range (``initial``), the initial set is downward-closed
+    (``initial-not-downward-closed``) and every tile is over the
+    automaton's universe (``tile-universe``).
     """
 
     universe: StateUniverse
     initial: frozenset[int]
     alphabet: dict[str, Tile]
+
+    def __post_init__(self) -> None:
+        u, initial = self.universe, self.initial
+        if len(initial) > u.size or initial != frozenset(range(len(initial))):  # not {0..k-1}
+            out = min((q for q in initial if not 0 <= q < u.size), default=None)
+            if out is not None:
+                raise ValidationError(f"initial: state index {out} out of range")
+            gap = next(q for q in range(u.size) if q not in initial)
+            above = min(q for q in initial if q > gap)
+            raise ValidationError(
+                f"initial-not-downward-closed: {u.states[above]} is initial but {u.states[gap]} below it is not"
+            )
+        # a loaded document's tiles share its universe object, so the identity test decides
+        stray = sorted(x for x, t in self.alphabet.items() if t.universe is not u and t.universe != u)
+        if stray:
+            raise ValidationError(f"tile-universe: tile {stray[0]!r} built over a different universe")
 
     @property
     def letters(self) -> tuple[str, ...]:
@@ -97,7 +116,12 @@ class ParityAutomaton:
     """Nondeterministic min-parity automaton, possibly with ε-transitions.
 
     ``records``/``universe`` are carried by determinization results so that
-    the record structure of each state stays recoverable.
+    the record structure of each state stays recoverable.  Construction
+    raises a :class:`ValidationError` for the first fault: the index, the
+    states, the initial set, each transition's states and priority, the
+    determinism of a deterministic automaton, a non-ε transition letter
+    outside a declared ``alphabet``, then records that are not exactly one
+    per state.
     """
 
     states: tuple[str, ...]
@@ -120,8 +144,11 @@ class ParityAutomaton:
             raise ValidationError("state identifiers must be pairwise distinct")
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")
+        alphabet = self.alphabet
+        declared = alphabet is not None
+        undeclared = False  # some non-ε transition letter is outside the declared alphabet
         for (p, a, c, q) in self.transitions:
-            if p not in stateset or q not in stateset or not lo <= c <= hi:
+            if p not in stateset or q not in stateset or not lo <= c <= hi or declared and a not in alphabet and a != EPS:
                 for (p, a, c, q) in sorted(self.transitions):  # the least offender, whatever the hash seed
                     if p not in stateset or q not in stateset:
                         raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
@@ -129,6 +156,8 @@ class ParityAutomaton:
                         raise ValidationError(
                             f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
                         )
+                undeclared = True  # reported after the determinism checks
+                break
         if self.deterministic:
             if len(self.initial) != 1:
                 raise ValidationError("deterministic automaton needs exactly one initial state")
@@ -137,6 +166,17 @@ class ParityAutomaton:
                 pairs.sort()
                 p, a = next(x for x, y in zip(pairs, pairs[1:]) if x == y)
                 raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
+        if undeclared:
+            t = min(t for t in self.transitions if t[1] not in alphabet and t[1] != EPS)
+            raise ValidationError(f"transition {t} uses undeclared letter")
+        records = self.records
+        if records is not None and records.keys() != stateset:
+            for name in records:
+                if name not in stateset:
+                    raise ValidationError(f"record {name!r} is not a declared state")
+            for name in self.states:
+                if name not in records:
+                    raise ValidationError(f"records omit state {name!r}")
 
     @property
     def effective_alphabet(self) -> frozenset[str]:
@@ -153,68 +193,29 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
     warnings: list[ValidationIssue] = field(default_factory=list)
 
-    @property
-    def valid(self) -> bool:
-        return not self.issues
-
     def __str__(self) -> str:
-        lines = [f"{i.kind}: {i.message}" for i in self.issues]
-        lines += [f"warning ({w.kind}): {w.message}" for w in self.warnings]
-        return "\n".join(lines) if lines else "valid"
-
-
-def _oba_issues(a: OrderedBuchiAutomaton) -> ValidationReport:
-    """The violated ordered-Büchi invariants, with witnesses, and no warnings.
-
-    These are the checks a document must pass to load: an initial set of
-    in-range states that is downward-closed, and tiles over the automaton's
-    universe.
-    """
-    report = ValidationReport()
-    u = a.universe
-    names = u.states
-    for q in sorted(a.initial):
-        if not 0 <= q < u.size:
-            report.issues.append(ValidationIssue("initial", f"state index {q} out of range"))
-    for q in sorted(a.initial & frozenset(range(u.size))):
-        for q2 in range(q):
-            if q2 not in a.initial:
-                report.issues.append(
-                    ValidationIssue(
-                        "initial-not-downward-closed",
-                        f"{names[q]} is initial but {names[q2]} below it is not",
-                    )
-                )
-                break
-    # a loaded document's tiles share its universe object, so the identity test decides
-    for letter in sorted(x for x, t in a.alphabet.items() if t.universe is not u and t.universe != u):
-        report.issues.append(ValidationIssue("tile-universe", f"tile {letter!r} built over a different universe"))
-    return report
+        return "\n".join(f"warning ({w.kind}): {w.message}" for w in self.warnings) or "valid"
 
 
 def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
-    """Report every violated ordered-Büchi invariant, with witnesses, and warn about unreachable states.
+    """Warn about every state unreachable from the initial set.
 
-    The invariants are those a document is checked against when it loads.
-    The warnings need one walk from max(I) under the letters' top-successor
-    maps, so they are made only here and only when no invariant is violated:
-    the walk needs in-range states and same-universe tiles.
+    The ordered-Büchi invariants hold by construction, so the report holds
+    warnings only.  They need one walk from max(I) under the letters'
+    top-successor maps, so they are made only here.
     """
-    report = _oba_issues(a)
-    if not report.valid:
-        return report
     # initial and successor sets are downward-closed: every state up to the
     # greatest one reached from max(I) is reachable
     names = a.universe.states
     reach = max(_walk_from_initial(a)[0], default=-1)
-    for q in range(reach + 1, a.universe.size):
-        report.warnings.append(
+    return ValidationReport(
+        [
             ValidationIssue("unreachable-state", f"state {names[q]} is unreachable from the initial set")
-        )
-    return report
+            for q in range(reach + 1, a.universe.size)
+        ]
+    )
 
 
 def _fold(start: frozenset, succs) -> frozenset:
@@ -262,6 +263,13 @@ def _conjugacy_key(period: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
     return key, (length - s) % length
 
 
+def _check_morphism(morphism: Morphism, tiles) -> None:
+    """Raise a usage error naming the first letter ``morphism`` maps outside ``tiles``."""
+    for letter, name in morphism.mapping:
+        if not isinstance(name, str) or name not in tiles:
+            raise UsageError(f"morphism maps {letter!r} to unknown tile {name!r}")
+
+
 def _require_letters(letters: frozenset, word: tuple[str, ...]) -> None:
     """Raise a usage error naming the first letter of ``word`` outside ``letters``."""
     if not letters.issuperset(word):
@@ -271,11 +279,12 @@ def _require_letters(letters: frozenset, word: tuple[str, ...]) -> None:
 class ObaOracle:
     """Exact UP-word membership for an ordered Büchi automaton.
 
-    The states reachable after any word are downward-closed, {0..m}, so a
-    state set is held as its greatest state m (-1 for none): ``after(u)``
-    walks max(I) through the letters' ``top`` maps and ``accepts(m, v)``
-    decides the rest, so ``member`` is their composition; every oracle here
-    splits a query the same way.  By the single-tile ω-power criterion
+    The initial set is {0..k-1} by construction, and the states reachable
+    after any word are downward-closed, {0..m}, so a state set is held as
+    its greatest state m (-1 for none): ``after(u)`` walks max(I) through
+    the letters' ``top`` maps and ``accepts(m, v)`` decides the rest, so
+    ``member`` is their composition; every oracle here splits a query the
+    same way.  By the single-tile ω-power criterion
     (criterion 9, :func:`omega_power_accepts`), v^ω is accepted from {0..m}
     iff some q ≤ m has ``is_buchi(t_v, q, q)``, where t_v is the product of
     v's tiles; so a period's answer is the least such q, |Q| for none.  That
@@ -287,17 +296,19 @@ class ObaOracle:
     and one of suffix products.  A period is a power of the rotation at the
     offset where its root starts in the key, and (w^k)^ω = w^ω, so it answers
     with that entry.  A morphism is folded into the letter table at
-    construction, so its letters index the tiles directly.
+    construction, so its letters index the tiles directly; one that maps a
+    letter to a missing tile is refused there, with a usage error.
     """
 
     def __init__(self, a: OrderedBuchiAutomaton, morphism: Morphism | None = None):
-        if a.initial != frozenset(range(len(a.initial))) or len(a.initial) > a.universe.size:
-            raise UsageError("ObaOracle needs an initial set {0..k-1} inside the universe")
         self.automaton = a
         self.morphism = morphism
-        names = morphism.as_dict() if morphism is not None else {x: x for x in a.alphabet}
-        # query letter -> tile; a letter mapped to a missing tile is left out
-        self._tile = {x: a.alphabet[t] for x, t in names.items() if t in a.alphabet}
+        if morphism is None:
+            names = {x: x for x in a.alphabet}
+        else:
+            _check_morphism(morphism, a.alphabet)
+            names = morphism.as_dict()
+        self._tile = {x: a.alphabet[t] for x, t in names.items()}  # query letter -> tile
         self._top = {x: tile.top for x, tile in self._tile.items()}
         self._letters = frozenset(self._top)
         self._acc: dict[tuple[str, ...], tuple[int, ...]] = {}
@@ -305,8 +316,8 @@ class ObaOracle:
     def _check_letters(self, word: tuple[str, ...]) -> None:
         if self._letters.issuperset(word):
             return
-        if self.morphism is not None:  # name a letter outside the domain, else the missing tile
-            _require_letters(frozenset(self.automaton.alphabet), *self.morphism.rename(word))
+        if self.morphism is not None:  # raises, naming the first letter outside the domain
+            self.morphism.rename(word)
         _require_letters(self._letters, word)
 
     def _least_accepting(self, period: tuple[str, ...]) -> int:
@@ -501,8 +512,7 @@ class NpaOracle:
     many ε-transitions between letters.  Explicit ε letters in a query are
     allowed and consume at least one ε-transition each (the intertwined-word
     reading); the period must contain at least one real letter.  As for the
-    other oracles, a letter outside the alphabet is a usage error, and that
-    includes a transition's letter outside a declared ``alphabet``.
+    other oracles, a letter outside the alphabet is a usage error.
 
     The prefix only decides where the period starts, so it is folded afresh
     on every query as a state set through the rows of each ε-closed letter's

@@ -32,7 +32,7 @@ from .automata import (
     OrderedBuchiAutomaton,
     ParityAutomaton,
     UPWord,
-    _oba_issues,
+    _check_morphism,
     oba_validate,
 )
 from .convert import NotEpsComplete, RabinSpec, check_eps_complete, parity_to_oba, rabin_to_oba
@@ -163,16 +163,17 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
             raise
         raise ValidationError(f"{path}: malformed ordered-buchi document ({e})") from None
     _entry_types(letters, path)
-    a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
-    report = _oba_issues(a)
-    if not report.valid:
-        raise ValidationError(f"{path}: {report.issues[0].kind}: {report.issues[0].message}")
+    try:
+        a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
     morphism = None
     if "morphism" in doc:
         morphism = Morphism.from_dict(_typed(doc["morphism"], dict, "morphism", path))
-        for letter, name in morphism.mapping:
-            if not isinstance(name, str) or name not in alphabet:
-                raise ValidationError(f"{path}: morphism maps {letter!r} to unknown tile {name!r}")
+        try:
+            _check_morphism(morphism, alphabet)
+        except UsageError as e:
+            raise ValidationError(f"{path}: {e}") from None
     return a, morphism
 
 
@@ -207,7 +208,7 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
             raise
         raise ValidationError(f"{path}: malformed parity document ({e})") from None
     try:
-        a = ParityAutomaton(
+        return ParityAutomaton(
             states=states,
             initial=initial,
             index=(lo, hi),
@@ -219,15 +220,6 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    if records is not None:
-        declared = set(states)
-        for name in records:
-            if name not in declared:
-                raise ValidationError(f"{path}: record {name!r} is not a declared state")
-        for name in states:
-            if name not in records:
-                raise ValidationError(f"{path}: records omit state {name!r}")
-    return a
 
 
 def load_document(path: str):

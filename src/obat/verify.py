@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .automata import OrderedBuchiAutomaton, UPWord, _walk_from_initial
+from .convert import _bits
 from .tiles import (
     Skeleton,
     StateUniverse,
@@ -210,13 +211,9 @@ def candidate_records(a: OrderedBuchiAutomaton) -> frozenset[Record]:
 MemberFn = Callable[[UPWord], bool]
 
 
-def words_of_length(alphabet, n: int) -> Iterator[tuple[str, ...]]:
-    yield from itertools.product(sorted(alphabet), repeat=n)
-
-
 def finite_words(alphabet, max_len: int, min_len: int = 0) -> Iterator[tuple[str, ...]]:
     for n in range(min_len, max_len + 1):
-        yield from words_of_length(alphabet, n)
+        yield from itertools.product(sorted(alphabet), repeat=n)
 
 
 def enumerate_up_words(alphabet, max_prefix: int, max_period: int) -> Iterator[UPWord]:
@@ -321,14 +318,6 @@ class PreferenceReport:
         return "\n".join([head] + [str(v) for v in self.violations])
 
 
-def _bit_indices(bits: int) -> Iterator[int]:
-    """The indices of the set bits of ``bits``, least first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 # prefix length of the sampled continuations w; the report lists it among its bounds
 MAX_W_PREFIX = 2
 
@@ -407,7 +396,7 @@ def check_local_preference(
             report.violations.append(
                 PreferenceViolation(
                     1,
-                    {"u": u, "u'": u2, "w": w(next(_bit_indices(only_u))), "w'": w(next(_bit_indices(only_u2)))},
+                    {"u": u, "u'": u2, "w": w(next(_bits(only_u))), "w'": w(next(_bits(only_u2)))},
                 )
             )
 
@@ -417,7 +406,7 @@ def check_local_preference(
         state = after(u)
         for v in vs:
             if not m(state, v):
-                for i in _bit_indices(accepted_after(u + v) & ~accepted[u]):
+                for i in _bits(accepted_after(u + v) & ~accepted[u]):
                     report.violations.append(PreferenceViolation(2, {"u": u, "v": v, "w": w(i)}))
 
     for u in us:

@@ -41,14 +41,14 @@ from zoo import (
 
 class TestObaValidate:
     def test_inf_a_valid(self):
-        assert oba_validate(inf_a()).valid
+        assert str(oba_validate(inf_a())) == "valid"
 
     def test_initial_not_downward_closed(self):
+        """Refused at construction, so ``determinize`` cannot emit records like (s1) from {s1}."""
         a = inf_a()
-        a.initial = frozenset({1})
-        report = oba_validate(a)
-        assert not report.valid
-        assert any("s0" in issue.message for issue in report.issues)
+        with pytest.raises(ValidationError) as e:
+            OrderedBuchiAutomaton(a.universe, frozenset({1}), a.alphabet)
+        assert str(e.value) == "initial-not-downward-closed: s1 is initial but s0 below it is not"
 
     def test_tile_missing_closure_element(self):
         tile = inf_a().alphabet["a"]
@@ -60,8 +60,7 @@ class TestObaValidate:
         u = StateUniverse(("s0", "s1"))
         a = OrderedBuchiAutomaton(u, frozenset({0}), {"a": upward_closure(u, [(0, 1, 0)])})
         report = oba_validate(a)
-        assert report.valid
-        assert any(w.kind == "unreachable-state" for w in report.warnings)
+        assert [w.kind for w in report.warnings] == ["unreachable-state"]
 
     def test_unreachable_states_match_explicit_search(self):
         rng = random.Random(31)
@@ -109,17 +108,17 @@ class TestObaValidate:
         u = StateUniverse(("s0", "s1"))
         same, other = StateUniverse(("s0", "s1")), StateUniverse(("s0", "s2"))
         tiles = {x: upward_closure(v, [(0, 1, 0)]) for x, v in (("c", other), ("a", same), ("b", other), ("d", u))}
-        report = oba_validate(OrderedBuchiAutomaton(u, frozenset({0}), tiles))
-        assert [(i.kind, i.message) for i in report.issues] == [
-            ("tile-universe", f"tile {x!r} built over a different universe") for x in ("b", "c")
-        ]
-        assert report.warnings == []
+        with pytest.raises(ValidationError) as e:
+            OrderedBuchiAutomaton(u, frozenset({0}), tiles)
+        assert str(e.value) == "tile-universe: tile 'b' built over a different universe"
+        del tiles["b"], tiles["c"]  # 'a' over an equal universe, 'd' over u itself
+        assert OrderedBuchiAutomaton(u, frozenset({0}), tiles).alphabet == tiles
 
     def test_out_of_range_initial_reported(self):
         a = inf_a()
-        a.initial = frozenset({0, 1, 5})
-        report = oba_validate(a)
-        assert [issue.kind for issue in report.issues] == ["initial"]
+        with pytest.raises(ValidationError) as e:
+            OrderedBuchiAutomaton(a.universe, frozenset({0, 1, 5}), a.alphabet)
+        assert str(e.value) == "initial: state index 5 out of range"
 
 
 class TestObaMembership:

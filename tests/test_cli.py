@@ -627,12 +627,14 @@ class TestCommands:
         }
         path = tmp_path / "undeclared.json"
         path.write_text(json.dumps(doc))
-        assert main(["member", str(path), "--period", "a"]) == OK
-        assert main(["member", str(path), "--period", "b"]) == USAGE
-        assert main(["member", str(path), "--prefix", "b", "--period", "a"]) == USAGE
-        captured = capsys.readouterr()
-        assert captured.out == "true\n"
-        assert captured.err == "usage error: unknown letter 'b'\n" * 2
+        message = f"{path}: transition ('x', 'b', 1, 'y') uses undeclared letter"
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr().out == message + "\n"
+        p = str(path)
+        for argv in (["stats", p], ["member", p, "--period", "a"], ["member", p, "--period", "b"], ["convert", "parity", p]):
+            assert main(argv) == INVALID
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"validation error: {message}\n"
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -6,9 +6,11 @@ running maximum from ``itertools.accumulate`` and a separate corner scan;
 ``_parse_parity`` with per-column type loops and ``universe.index`` per
 record entry; the ``ParityAutomaton`` checks one transition at a time, in
 sorted order so that the offender named is the least; and
-``parity_to_doc`` sorting list rows.  The library checks the entry types of
-an ordered-Büchi document with one type-set test per document, after
-building its letters, and parity columns with one type-set test each; it
+``parity_to_doc`` sorting list rows; and ``ref_oba_issues``, the report of
+every violated ordered-Büchi invariant that loading and ``oba_validate``
+read before ``OrderedBuchiAutomaton`` raised the first one itself.  The
+library checks the entry types of an ordered-Büchi document with one
+type-set test per document, after building its letters, and parity columns with one type-set test each; it
 walks rows only to name an offender, so a fault in an earlier letter must
 still come before a wrong entry type in a later one.  Its
 ``ParityAutomaton`` checks make one pass in set order and sort only on a
@@ -35,7 +37,6 @@ from obat import (
     StateUniverse,
     Tile,
     ValidationError,
-    oba_validate,
     upward_closure,
 )
 from obat.cli import _parse_oba, _parse_parity, oba_to_doc, parity_to_doc
@@ -49,6 +50,7 @@ from zoo import (
     rabin_behavioral_two_pair,
     rabin_two_pair,
     random_oba,
+    rich_oba,
 )
 
 PATH = "doc.json"
@@ -106,6 +108,28 @@ def ref_universe(names, path):
         raise ValidationError(f"{path}: {e}") from None
 
 
+def ref_oba_issues(universe, initial, alphabet):
+    """The violated ordered-Büchi invariants as (kind, message) pairs, every one, in report order.
+
+    The library's report before ``OrderedBuchiAutomaton`` checked its own
+    invariants: out-of-range initial states, then initial states with a gap
+    below them, then tiles over another universe, each in sorted order.
+    """
+    issues = []
+    names = universe.states
+    for q in sorted(initial):
+        if not 0 <= q < universe.size:
+            issues.append(("initial", f"state index {q} out of range"))
+    for q in sorted(initial & frozenset(range(universe.size))):
+        for q2 in range(q):
+            if q2 not in initial:
+                issues.append(("initial-not-downward-closed", f"{names[q]} is initial but {names[q2]} below it is not"))
+                break
+    for letter in sorted(x for x, t in alphabet.items() if t.universe is not universe and t.universe != universe):
+        issues.append(("tile-universe", f"tile {letter!r} built over a different universe"))
+    return issues
+
+
 def ref_parse_oba(doc, path):
     try:
         universe = ref_universe(ref_typed(doc["states"], list, "states", path), path)
@@ -132,10 +156,10 @@ def ref_parse_oba(doc, path):
         if isinstance(e, ValidationError):
             raise
         raise ValidationError(f"{path}: malformed ordered-buchi document ({e})") from None
+    issues = ref_oba_issues(universe, initial, alphabet)
+    if issues:
+        raise ValidationError(f"{path}: {issues[0][0]}: {issues[0][1]}")
     a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
-    report = oba_validate(a)
-    if not report.valid:
-        raise ValidationError(f"{path}: {report.issues[0].kind}: {report.issues[0].message}")
     morphism = None
     if "morphism" in doc:
         morphism = Morphism.from_dict(ref_typed(doc["morphism"], dict, "morphism", path))
@@ -145,7 +169,7 @@ def ref_parse_oba(doc, path):
     return a, morphism
 
 
-def ref_check_parity(states, initial, index, transitions, deterministic):
+def ref_check_parity(states, initial, index, transitions, deterministic, alphabet=None, records=None):
     """The checks of ``ParityAutomaton.__post_init__``, one transition at a time in sorted order."""
     lo, hi = index
     if lo > hi:
@@ -172,11 +196,28 @@ def ref_check_parity(states, initial, index, transitions, deterministic):
             if (p, a) in seen:
                 raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
             seen.add((p, a))
+    if alphabet is not None:
+        for t in sorted(transitions):
+            if t[1] != EPS and t[1] not in alphabet:
+                raise ValidationError(f"transition {t} uses undeclared letter")
+    if records is not None:
+        for name in records:
+            if name not in stateset:
+                raise ValidationError(f"record {name!r} is not a declared state")
+        for name in states:
+            if name not in records:
+                raise ValidationError(f"records omit state {name!r}")
 
 
 def ref_parity(**fields):
     ref_check_parity(
-        fields["states"], fields["initial"], fields["index"], fields["transitions"], fields["deterministic"]
+        fields["states"],
+        fields["initial"],
+        fields["index"],
+        fields["transitions"],
+        fields["deterministic"],
+        fields.get("alphabet"),
+        fields.get("records"),
     )
     return ParityAutomaton(**fields)
 
@@ -223,14 +264,6 @@ def ref_parse_parity(doc, path, deterministic):
         )
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
-    if records is not None:
-        declared = set(states)
-        for name in records:
-            if name not in declared:
-                raise ValidationError(f"{path}: record {name!r} is not a declared state")
-        for name in states:
-            if name not in records:
-                raise ValidationError(f"{path}: records omit state {name!r}")
     return a
 
 
@@ -468,6 +501,9 @@ MALFORMED = {
     "parity-alphabet-int": _with(PARITY, alphabet=["a", 1]),
     "parity-states-int": _with(PARITY, states=["x", "y", 3]),
     "parity-no-transitions": _with(PARITY, transitions=[]),
+    "parity-two-undeclared-letters": _with(_rows(PARITY, ["x", "c", 0, "y"]), alphabet=["a"]),
+    "det-undeclared-letter-and-repeated-pair": _with(_rows(DET, ["(p,q)", "a", 0, "(p)"]), alphabet=["b"]),
+    "det-undeclared-letter-and-records-omit": _with(DET, alphabet=["a"], records={"(p,q)": ["p", "q"]}),
 }
 
 
@@ -539,8 +575,17 @@ def test_upward_closure_same_tile_or_error():
 
 
 def test_parity_automaton_same_checks():
-    rng = random.Random(99)
+    """Random fields, declared alphabets that may miss a transition's letter, and records that may
+    miss or add a state; the alphabets and records come from a second generator, so the other
+    fields are drawn as before they were added."""
+    rng, extra = random.Random(99), random.Random(98)
     states = ("x", "y", "z")
+    faults = {
+        "undeclared letter": "letter",
+        "is not a declared state": "record-extra",
+        "records omit state": "record-omit",
+    }
+    seen = set()
     for _ in range(3000):
         lo = rng.randint(-1, 1)
         hi = lo + rng.randint(-1, 3)
@@ -554,8 +599,17 @@ def test_parity_automaton_same_checks():
             index=(lo, hi),
             transitions=transitions,
             deterministic=rng.random() < 0.7,
+            alphabet=extra.choice((None, None, frozenset("a"), frozenset("ab"))),
         )
-        _same(lambda: ParityAutomaton(**fields), lambda: ref_parity(**fields))
+        if extra.random() < 0.3:
+            names = set(extra.sample(states, extra.choice((2, 3, 3)))) | set(extra.sample(("v", "w"), extra.choice((0, 0, 1))))
+            fields["records"] = {name: () for name in extra.sample(sorted(names), len(names))}
+        outcome = _same(lambda: ParityAutomaton(**fields), lambda: ref_parity(**fields))
+        if outcome[0] == "ok":
+            seen.add("ok")
+        else:
+            seen.add(next((kind for text, kind in faults.items() if text in outcome[2]), "other"))
+    assert seen == {"ok", "other", *faults.values()}
     mixed = dict(  # one transition with a fifth element among four-element ones
         states=states,
         initial=frozenset({"x"}),
@@ -576,6 +630,9 @@ def test_malformed_corpus_covers_each_check():
     assert "nondeterministic on" in messages["det-two-repeated-pairs"]
     assert "must be a JSON string, got int" in messages["det-two-non-string-endpoints"]
     assert "must be a JSON integer, got float" in messages["det-two-non-integer-priorities"]
+    assert messages["parity-two-undeclared-letters"] == f"{PATH}: transition ('x', 'c', 0, 'y') uses undeclared letter"
+    assert "nondeterministic on" in _parse(copy.deepcopy(MALFORMED["det-undeclared-letter-and-repeated-pair"]))[2]
+    assert "uses undeclared letter" in _parse(copy.deepcopy(MALFORMED["det-undeclared-letter-and-records-omit"]))[2]
 
 
 def test_cross_letter_faults_name_the_earlier_letter():
@@ -595,3 +652,54 @@ def test_cross_letter_faults_name_the_earlier_letter():
         outcome = _parse(copy.deepcopy(MALFORMED[name]))
         assert outcome[:2] == ("raised", ValidationError), name
         assert outcome[2].startswith(f"{PATH}: {start}"), (name, outcome[2])
+
+
+# --- the ordered-Büchi invariants ------------------------------------------------------------
+
+
+def _initial(rng, n):
+    """{0..k-1}, a random subset of the states, often with gaps, or one of -2..n+1 that may leave the range."""
+    states = rng.choice((None, range(n), range(-2, n + 2)))
+    if states is None:
+        return frozenset(range(rng.randint(0, n)))
+    return frozenset(rng.sample(states, rng.randint(0, min(len(states), n + 1))))
+
+
+def _tile_universe(rng, u):
+    """The automaton's universe itself, an equal copy, or one of other names or size."""
+    n = u.size
+    return rng.choice((u, u, _universe(n), StateUniverse(tuple(f"r{i}" for i in range(n))), _universe(n % 6 + 1)))
+
+
+def test_oba_construction_raises_the_first_reference_issue():
+    """Construction raises iff the reference reports an issue, with that report's first issue as message."""
+    rng = random.Random(2027)
+    kinds = {}
+    for _ in range(4000):
+        u = _universe(rng.randint(1, 6))
+        initial = _initial(rng, u.size)
+        alphabet = {}
+        for x in rng.sample("abcd", rng.randint(0, 4)):
+            v = _tile_universe(rng, u)
+            alphabet[x] = upward_closure(v, {(rng.randrange(v.size), rng.randint(0, 1), rng.randrange(v.size))})
+        issues = ref_oba_issues(u, initial, alphabet)
+        outcome = _outcome(OrderedBuchiAutomaton, u, initial, alphabet)
+        if issues:
+            assert outcome == ("raised", ValidationError, f"{issues[0][0]}: {issues[0][1]}"), (u, initial)
+        else:
+            assert outcome == ("ok", OrderedBuchiAutomaton(u, initial, alphabet))
+        kind = issues[0][0] if issues else "ok"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"ok", "initial", "initial-not-downward-closed", "tile-universe"}
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_oba_corpora_construct():
+    """The corpus, the Rabin and ε conversions, random, horizontal-complete and rich automata
+    pass the reference's checks, and constructing each again gives an equal automaton."""
+    rng = random.Random(2028)
+    cases = [(name, a) for name, a, _ in _automata()]
+    cases += [(f"rich-{n}-{i}", rich_oba(rng, n)) for n in (4, 5) for i in range(10)]
+    for name, a in cases:
+        assert ref_oba_issues(a.universe, a.initial, a.alphabet) == [], name
+        assert OrderedBuchiAutomaton(a.universe, a.initial, a.alphabet) == a, name

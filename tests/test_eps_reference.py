@@ -238,7 +238,9 @@ def random_eps_complete(rng):
         for _ in range(rng.randint(0, 2 * n))
     }
     initial = rng.sample(states, rng.randint(0, n))
-    return make_eps_complete(tuple(states), levels, moves, initial=initial, alphabet="abc"[: rng.randint(1, 3)])
+    alphabet = "abc"[: rng.randint(1, 3)]
+    moves = {m for m in moves if m[1] in alphabet}  # a transition's letter must be declared
+    return make_eps_complete(tuple(states), levels, moves, initial=initial, alphabet=alphabet)
 
 
 def mutate(rng, a):

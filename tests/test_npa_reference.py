@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from obat import EPS, NpaOracle, UsageError, intertwine, up
+from obat import EPS, NpaOracle, UsageError, ValidationError, intertwine, up
 from obat.automata import _require_letters
 from obat.verify import enumerate_up_words, finite_words
 
@@ -196,10 +196,13 @@ def test_steps_between_elements_match_the_reference_matrices():
 
 
 def test_undeclared_letter_is_a_usage_error():
-    """A ``b`` transition from each state, but only ``a`` declared: ``b`` is refused anywhere."""
-    a = make_eps_complete(
-        ("x", "y"), [[["x"], ["y"]]], {("x", "a", 0, "x"), ("x", "b", 1, "y"), ("y", "b", 0, "y")}, alphabet="a"
-    )
+    """A ``b`` transition with only ``a`` declared is refused when the automaton is built; without
+    those transitions the automaton builds, and ``b`` is a usage error anywhere in a query."""
+    transitions = {("x", "a", 0, "x"), ("x", "b", 1, "y"), ("y", "b", 0, "y")}
+    with pytest.raises(ValidationError) as e:
+        make_eps_complete(("x", "y"), [[["x"], ["y"]]], transitions, alphabet="a")
+    assert str(e.value) == "transition ('x', 'b', 1, 'y') uses undeclared letter"
+    a = make_eps_complete(("x", "y"), [[["x"], ["y"]]], {t for t in transitions if t[1] == "a"}, alphabet="a")
     assert a.effective_alphabet == frozenset("a")
     npa = NpaOracle(a)
     assert npa(up((), "a"))

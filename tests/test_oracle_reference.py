@@ -35,6 +35,7 @@ from obat import (
     OrderedBuchiAutomaton,
     StateUniverse,
     UsageError,
+    ValidationError,
     omega_power_accepts,
     product,
     up,
@@ -311,10 +312,15 @@ def test_conversions_with_morphisms():
 
 
 def test_unknown_letters_and_missing_tiles():
-    oba, _ = rabin_to_oba(rabin_two_pair())
-    words = [up(("x",), ("zz",)), up(("x",), ("x",)), up(("zz",), ("x",)), up((), ("x",))]
-    verdicts = _check("missing-tile", oba, words, Morphism.from_dict({"x": "no-such-tile"}))
-    assert verdicts == {"letter 'zz' not in morphism domain", "unknown letter 'no-such-tile'"}
+    """A morphism onto a missing tile is refused when the oracle is built; a letter outside the
+    morphism's domain or the alphabet is refused at query time."""
+    oba, morphism = rabin_to_oba(rabin_two_pair())
+    with pytest.raises(UsageError) as e:
+        ObaOracle(oba, Morphism.from_dict({"a": morphism.as_dict()["a"], "x": "no-such-tile"}))
+    assert str(e.value) == "morphism maps 'x' to unknown tile 'no-such-tile'"
+    words = [up(("a",), ("zz",)), up(("zz",), ("a",)), up((), ("zz", "a"))]
+    verdicts = _check("outside-domain", oba, words, morphism)
+    assert verdicts == {"letter 'zz' not in morphism domain"}
     verdicts = _check("inf-a-unknown", inf_a(), [up("az", "a"), up("a", "zb"), up("zy", "x")])
     assert verdicts == {"unknown letter 'z'"}
 
@@ -332,12 +338,21 @@ def test_empty_initial_set():
     assert _check("empty-initial", a, _words(rng, sorted(a.alphabet))) == {False}
 
 
-@pytest.mark.parametrize("initial", [{1}, {0, 2}, {0, 1, 2}], ids=["not-from-zero", "gap", "outside"])
-def test_initial_set_not_downward_closed_is_a_usage_error(initial):
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        ({1}, "initial-not-downward-closed: s1 is initial but s0 below it is not"),
+        ({0, 2}, "initial: state index 2 out of range"),
+        ({0, 1, 2}, "initial: state index 2 out of range"),
+    ],
+    ids=["not-from-zero", "gap", "outside"],
+)
+def test_initial_set_not_downward_closed_is_a_usage_error(initial, message):
+    """No oracle can be built: the automaton itself is refused, with a validation error."""
     u = StateUniverse(("s0", "s1"))
-    a = OrderedBuchiAutomaton(u, frozenset(initial), {})
-    with pytest.raises(UsageError, match=r"initial set \{0..k-1\} inside the universe"):
-        ObaOracle(a)
+    with pytest.raises(ValidationError) as e:
+        OrderedBuchiAutomaton(u, frozenset(initial), {})
+    assert str(e.value) == message
 
 
 def _is_lyndon(v):

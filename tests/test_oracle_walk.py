@@ -357,10 +357,11 @@ class TestMorphismFold:
             oracle(up((), ("t0",)))  # a tile name is not a query letter
 
     def test_letter_mapped_to_missing_tile(self):
+        """Refused when the oracle is built, with the loader's wording."""
         oba, _ = rabin_to_oba(rabin_two_pair())
-        oracle = ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
-        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
-            oracle(up((), ("x",)))
+        with pytest.raises(UsageError) as e:
+            ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
+        assert str(e.value) == "morphism maps 'x' to unknown tile 'no-such-tile'"
 
     def test_cli_member_outside_domain(self, tmp_path, capsys):
         oba, morphism = rabin_to_oba(rabin_two_pair())
@@ -467,11 +468,9 @@ class TestSplitAgreesWithMember:
                 assert str(e.value) == want, w
 
     def test_missing_prefix_tile_named_before_period(self):
-        oba, _ = rabin_to_oba(rabin_two_pair())
-        oracle = ObaOracle(oba, Morphism.from_dict({"x": "no-such-tile"}))
-        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
-            oracle(up(("x",), ("zz",)))
-        with pytest.raises(UsageError, match="'zz' not in morphism domain"):
-            oracle(up((), ("zz",)))
-        with pytest.raises(UsageError, match="unknown letter 'no-such-tile'"):
-            oracle.after(("x",))
+        """A morphism onto missing tiles is refused before any query, naming its first such letter."""
+        oba, morphism = rabin_to_oba(rabin_two_pair())
+        mapping = dict(morphism.as_dict(), y="other-missing", x="no-such-tile")
+        with pytest.raises(UsageError) as e:
+            ObaOracle(oba, Morphism.from_dict(mapping))
+        assert str(e.value) == "morphism maps 'x' to unknown tile 'no-such-tile'"

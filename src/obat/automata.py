@@ -10,8 +10,10 @@ the determinization.
 An oracle folds each query's prefix from its start state with no memo, so a
 long-lived oracle holds nothing per distinct prefix; the caches that grow
 with queries are keyed by period, for ``NpaOracle`` also by a period's
-value-set matrix and by (period element, letter), or for ``ObaOracle`` by a
-period's class under rotation and power (see each class).
+value-set matrix and by (period element, letter), and for ``ObaOracle`` also
+by a period's class under rotation and power (see each class).  Both step a
+period from its one-letter-shorter period when that has an entry; any other
+period ``NpaOracle`` multiplies out, and ``ObaOracle`` reads off its class.
 """
 
 from __future__ import annotations
@@ -263,6 +265,11 @@ def _conjugacy_key(period: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
     return key, (length - s) % length
 
 
+def _least_buchi(t: Tile, n: int) -> int:
+    """Least q with ``is_buchi(t, q, q)``; ``n``, the number of states, if there is none."""
+    return next((q for q in range(n) if is_buchi(t, q, q)), n)
+
+
 def _check_morphism(morphism: Morphism, tiles) -> None:
     """Raise a usage error naming the first letter ``morphism`` maps outside ``tiles``."""
     for letter, name in morphism.mapping:
@@ -287,10 +294,17 @@ class ObaOracle:
     same way.  By the single-tile ω-power criterion
     (criterion 9, :func:`omega_power_accepts`), v^ω is accepted from {0..m}
     iff some q ≤ m has ``is_buchi(t_v, q, q)``, where t_v is the product of
-    v's tiles; so a period's answer is the least such q, |Q| for none.  That
-    product recurs across the prefixes of an enumeration, so the one cache,
-    ``_acc``, holds the answer per conjugacy class of periods.  The key is
-    the least rotation of the period's primitive root, and its value has one
+    v's tiles; so a period's answer is the least such q, |Q| for none.
+
+    Two routes reach t_v.  ``_period`` maps a period to its tile and answer.
+    A one-letter period takes its letter's tile, and a longer one whose
+    ``period[:-1]`` has an entry costs one product with its last letter's
+    tile, as :class:`NpaOracle`'s ``_step`` does; both are entered there.
+    So an enumeration that asks periods shortest first, as ``equiv_up`` and
+    ``check_local_preference`` do, steps every period.  Any other period
+    takes the class route, ``_acc``, which holds the answer per conjugacy
+    class of periods and enters nothing in ``_period``.  The key is the
+    least rotation of the period's primitive root, and its value has one
     entry per position j of the key: the least q for the tile of the
     rotation key[j:] + key[:j], each built from one pass of prefix products
     and one of suffix products.  A period is a power of the rotation at the
@@ -311,6 +325,7 @@ class ObaOracle:
         self._tile = {x: a.alphabet[t] for x, t in names.items()}  # query letter -> tile
         self._top = {x: tile.top for x, tile in self._tile.items()}
         self._letters = frozenset(self._top)
+        self._period: dict[tuple[str, ...], tuple[Tile, int]] = {}
         self._acc: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def _check_letters(self, word: tuple[str, ...]) -> None:
@@ -322,6 +337,24 @@ class ObaOracle:
 
     def _least_accepting(self, period: tuple[str, ...]) -> int:
         """Least q with a horizontal Büchi transition in the period's tile; |Q| if there is none."""
+        entry = self._period.get(period)
+        if entry is not None:  # a period with an entry passed both checks when it was entered
+            return entry[1]
+        self._check_letters(period)
+        if not period:
+            raise UsageError("period must be nonempty")
+        tile = self._tile[period[-1]]
+        if len(period) > 1:
+            shorter = self._period.get(period[:-1])
+            if shorter is None:
+                return self._class_least_accepting(period)
+            tile = product(shorter[0], tile)
+        least = _least_buchi(tile, self.automaton.universe.size)
+        self._period[period] = (tile, least)
+        return least
+
+    def _class_least_accepting(self, period: tuple[str, ...]) -> int:
+        """``_least_accepting`` read from the table of the period's conjugacy class."""
         table = self._acc.get(period)
         if table is not None:  # the period is its class's key: offset 0
             return table[0]
@@ -336,7 +369,7 @@ class ObaOracle:
                 heads.append(product(heads[-1], t))
                 tails.append(product(s, tails[-1]))
             rotations = (product(tails[-1 - j], heads[j]) for j in range(len(key)))  # t(key[j:] + key[:j])
-            table = self._acc[key] = tuple(next((q for q in range(n) if is_buchi(t, q, q)), n) for t in rotations)
+            table = self._acc[key] = tuple(_least_buchi(t, n) for t in rotations)
         return table[offset]
 
     def after(self, prefix: tuple[str, ...]) -> int:
@@ -346,7 +379,6 @@ class ObaOracle:
 
     def accepts(self, state: int, period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the states up to ``state``."""
-        self._check_letters(period)
         return state >= self._least_accepting(period)
 
     def member(self, w: UPWord) -> bool:
@@ -417,6 +449,8 @@ class DpaOracle:
     def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         """Whether the run from ``state`` on period^ω is accepting."""
         _require_letters(self._letters, period)
+        if not period:
+            raise UsageError("period must be nonempty")
         if state is None:
             return False
         seen: dict[str, int] = {state: 0}

@@ -105,12 +105,21 @@ def rabin_to_oba(spec: RabinSpec) -> tuple[OrderedBuchiAutomaton, Morphism]:
 
 @dataclass
 class EpsViolation:
+    """A failed axiom at ``priority`` or, when ``last`` is set, at every priority of that
+    parity from ``priority`` to ``last``: a run of priorities without ε-edges, which all
+    give the same witness."""
+
     axiom: str
     priority: int
     witness: tuple
+    last: int | None = None
 
     def __str__(self) -> str:
-        return f"{self.axiom} fails at priority {self.priority}, witness {self.witness}"
+        if self.last is None:
+            at = f"priority {self.priority}"
+        else:
+            at = f"every {'odd' if self.priority % 2 else 'even'} priority from {self.priority} to {self.last}"
+        return f"{self.axiom} fails at {at}, witness {self.witness}"
 
 
 @dataclass
@@ -172,8 +181,27 @@ def _transpose(rows: list[int]) -> list[int]:
     return cols
 
 
+def _runs(levels, first: int, last: int):
+    """The priorities first, first + 2, …, last as ascending (start, end) runs: each one
+    in ``levels`` alone, and each maximal stretch of the others as one run."""
+    start = first
+    for c in sorted(c for c in levels if first <= c <= last and (c - first) % 2 == 0):
+        if start < c:
+            yield start, c - 2
+        yield c, c
+        start = c + 2
+    if start <= last:
+        yield start, last
+
+
 def _eps_violations(a: ParityAutomaton, states: list[str], table: dict[int, list[int]]) -> list[EpsViolation]:
-    """Each axiom's first witness, in state order, by bitmask tests on the down-sets."""
+    """Each axiom's first witness, in state order, by bitmask tests on the down-sets.
+
+    A priority without ε-edges has empty rows, so all the levels of a run of
+    such priorities give an axiom the same witness: each run is tested once and
+    reported once, with its range.  The work and the report grow with the
+    priorities that carry ε-edges, not with the width of the index.
+    """
     lo, hi = a.index
     if hi % 2 == 0 or hi < 1:
         raise UsageError(f"ε-completeness needs an odd index upper bound, got [{lo},{hi}]")
@@ -182,47 +210,49 @@ def _eps_violations(a: ParityAutomaton, states: list[str], table: dict[int, list
     n = len(states)
     full = (1 << n) - 1
     empty = [0] * n
-    down = {c: table.get(c, empty) for c in range(1, hi + 1, 2)}
-    up = {c: _transpose(rows) for c, rows in down.items()}
+    up = {c: _transpose(rows) for c, rows in table.items() if c % 2}
     violations: list[EpsViolation] = []
 
-    def report(axiom: str, c: int, candidates) -> None:
+    def report(axiom: str, c: int, end: int, candidates) -> None:
         """The witness ``key + (lowest set bit,)`` of the first nonzero mask among ``(key, mask)`` pairs."""
         for key, mask in candidates:
             if mask:
-                witness = key + (next(_bits(mask)),)
-                violations.append(EpsViolation(axiom, c, tuple(states[i] for i in witness)))
+                witness = tuple(states[i] for i in key + (next(_bits(mask)),))
+                violations.append(EpsViolation(axiom, c, witness, None if end == c else end))
                 return
 
-    for c, d in down.items():
-        report("reflexivity", c, (((), ~d[i] & 1 << i) for i in range(n)))
+    for c, end in _runs(table, 1, hi):
+        d, u = table.get(c, empty), up.get(c, empty)
+        report("reflexivity", c, end, (((), ~d[i] & 1 << i) for i in range(n)))
         # p ≥ q ≥ s but not p ≥ s: s is in D(q) and missing from D(p)
-        report("transitivity", c, (((i, j), d[j] & ~d[i]) for i in range(n) for j in _bits(d[i])))
+        report("transitivity", c, end, (((i, j), d[j] & ~d[i]) for i in range(n) for j in _bits(d[i])))
         # some q after p in state order is unrelated to p either way
-        report("totality", c, (((i,), (full ^ ((2 << i) - 1)) & ~(d[i] | up[c][i])) for i in range(n)))
-    for c in range(1, hi - 1, 2):
-        fine, coarse = down[c + 2], down[c]
+        report("totality", c, end, (((i,), (full ^ ((2 << i) - 1)) & ~(d[i] | u[i])) for i in range(n)))
+    for c in sorted(c for c in table if c % 2 and 3 <= c <= hi):  # an empty finer level refines any
+        fine, coarse = table[c], table.get(c - 2, empty)
         for i in sorted(range(n), key=states.__getitem__):  # the least pair by name
             gap = fine[i] & ~coarse[i]
             if gap:
                 q = min(_bits(gap), key=states.__getitem__)
-                violations.append(EpsViolation("refinement", c + 2, (states[i], states[q])))
+                violations.append(EpsViolation("refinement", c, (states[i], states[q])))
                 break
-    for c in range(0, hi, 2):
+    # the strict variant at an even c reads the ε-edges at c and at c + 1
+    for c, end in _runs({c - c % 2 for c in table}, 0, hi - 1):
         # p > q strictly iff not q ≥ p: the strict row of p is the complement of p's odd up-set
-        strict, above = table.get(c, empty), up[c + 1]
-        report("strict-variant", c, (((i,), full & ~(strict[i] ^ above[i])) for i in range(n)))
+        strict, above = table.get(c, empty), up.get(c + 1, empty)
+        report("strict-variant", c, end, (((i,), full & ~(strict[i] ^ above[i])) for i in range(n)))
     return violations
 
 
 def check_eps_complete(a: ParityAutomaton) -> EpsReport:
-    """Verify the ε-completeness axioms, reporting one witness per axiom.
+    """Verify the ε-completeness axioms, reporting one witness per axiom and level.
 
     Odd ε-relations must be total preorders, each refined by the next; each
     even relation must be the strict variant of the odd one above it.  The
     index's upper bound must be odd; a lower bound of -1 (as produced by the
     determinization) is tolerated.  Every axiom is a bitmask test on the
-    down-sets of :func:`_eps_table`: O(levels·|S|²) word operations.
+    down-sets of :func:`_eps_table`, and a run of levels without ε-edges is
+    tested and reported once: O(levels with ε-edges·|S|²) word operations.
     """
     return EpsReport(_eps_violations(a, *_eps_table(a)))
 
@@ -237,8 +267,8 @@ def _odd_ranks(a: ParityAutomaton) -> list[tuple[int, ...]]:
     violations = _eps_violations(a, states, table)
     if violations:
         raise NotEpsComplete(EpsReport(violations))
-    rows = [table.get(c, [0] * len(states)) for c in range(1, a.index[1] + 1, 2)]
-    return [tuple(row[i].bit_count() for row in rows) for i in range(len(states))]
+    odd = range(1, a.index[1] + 1, 2)  # each carries ε-edges, by reflexivity, unless there are no states
+    return [tuple(table[c][i].bit_count() for c in odd) for i in range(len(states))]
 
 
 def parity_to_oba(a: ParityAutomaton) -> tuple[OrderedBuchiAutomaton, Morphism]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,15 @@ GENBUCHI_DOC = {
         ["sa", "a", 1, "sa"],
         ["sa", "b", 0, "w"],
     ],
+}
+
+# one transition, no ε-edge, and 10^8 odd levels: every level fails the same axioms
+WIDE_INDEX_DOC = {
+    "kind": "parity",
+    "states": ["x"],
+    "initial": ["x"],
+    "index": [0, 200000001],
+    "transitions": [["x", "a", 0, "x"]],
 }
 
 
@@ -212,6 +222,35 @@ class TestCommands:
             assert main(["convert", "parity", genbuchi_file, *extra]) == FALSE
             assert capsys.readouterr() == (expected, "")
             assert len(eps_decisions) == 1
+
+    def test_eps_check_scales_with_the_input_not_the_index(self, tmp_path, capsys):
+        """Each run of levels without ε-edges is tested and reported once, so a document
+        whose index is 2·10^8 wide is decided at once, in one line per failed axiom."""
+        src = tmp_path / "wide.json"
+        src.write_text(json.dumps(WIDE_INDEX_DOC))
+        start = time.perf_counter()
+        assert main(["convert", "parity", str(src), "--check-only"]) == FALSE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == (
+            "reflexivity fails at every odd priority from 1 to 200000001, witness ('x',)\n"
+            "strict-variant fails at every even priority from 0 to 200000000, witness ('x', 'x')\n"
+        )
+
+    def test_eps_complete_on_a_wide_index(self, inf_a_file, tmp_path, capsys):
+        """``eps-complete`` goes through the same check: the completion fills the levels up to
+        2|Q| - 1, and the empty ones above them are reported as one run per axiom."""
+        det_path = tmp_path / "det.json"
+        main(["determinize", inf_a_file, "-o", str(det_path)])
+        det_path.write_text(json.dumps(dict(json.loads(det_path.read_text()), index=[-1, 200000001])))
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["eps-complete", str(det_path)]) == FALSE
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == (
+            "added 2 ε-transitions; check: reflexivity fails at every odd priority from 5 to 200000001, "
+            "witness ('(s1,s0)',)\n"
+            "strict-variant fails at every even priority from 4 to 200000000, witness ('(s1,s0)', '(s1,s0)')\n"
+        )
 
     def test_equiv_oba_vs_determinization(self, inf_a_file, tmp_path, capsys):
         det_path = tmp_path / "det.json"

@@ -18,10 +18,12 @@ long words of the figures.  The same runs check ``accepts(m, v)`` against
 ``omega_power_accepts`` on t_v for every m from -1, where nothing is
 accepted, to |Q| - 1.
 
-The library fills one table per class of periods under rotation and power
-and reads each period's answer from it; ``per_period_least_accepting`` runs
-the SCC search once per period, and every period up to five letters, asked
-in shuffled order, must get the same answer from both.
+The library steps a period from its one-letter-shorter period when that has
+an entry, and otherwise fills one table per class of periods under rotation
+and power and reads the period's answer from it; ``per_period_least_accepting``
+runs the SCC search once per period, and every period up to five letters,
+asked shortest first and in shuffled order, must get the same answer from
+both.
 """
 
 import functools
@@ -355,20 +357,27 @@ def test_initial_set_not_downward_closed_is_a_usage_error(initial, message):
     assert str(e.value) == message
 
 
-def _is_lyndon(v):
-    """Primitive and strictly below each of its proper rotations."""
-    return all(v < v[i:] + v[:i] for i in range(1, len(v)))
+def _class_key(v):
+    """The least rotation of the primitive root of ``v``: the key of its class table."""
+    root = next(v[:d] for d in range(1, len(v) + 1) if v[:d] * (len(v) // d) == v)
+    return min(root[i:] + root[:i] for i in range(len(root)))
 
 
 def _check_class_tables(name, a, rng, max_period=5):
     """Every period up to ``max_period`` letters, in shuffled order, gets the per-period
-    answer, and the cache ends with one table per class, keyed by its Lyndon word."""
+    answer.  A period is stepped, and entered in the period table, when it has one letter
+    or its one-letter-shorter period was entered before it; every other period leaves the
+    table of its class, keyed by the least rotation of its primitive root."""
     oracle = ObaOracle(a)
     periods = list(finite_words(sorted(a.alphabet), max_period, min_len=1))
     rng.shuffle(periods)
+    stepped = set()
     for v in periods:
         assert oracle._least_accepting(v) == per_period_least_accepting(oracle, v), (name, v)
-    assert set(oracle._acc) == {v for v in periods if _is_lyndon(v)}, name
+        if len(v) == 1 or v[:-1] in stepped:
+            stepped.add(v)
+    assert set(oracle._period) == stepped, name
+    assert set(oracle._acc) == {_class_key(v) for v in periods if v not in stepped}, name
     return len(periods)
 
 
@@ -387,3 +396,48 @@ def test_class_tables_on_corpus():
     rng = random.Random(20261107)
     for name, a in determinization_corpus():
         _check_class_tables(name, a, rng)
+
+
+def _route_cases(rng):
+    """Seeded random automata up to six states and the corpus, without a morphism, and the
+    Rabin and parity conversions, with theirs."""
+    for i in range(30):
+        yield f"random-{i}", random_oba(rng, max_states=6), None
+    yield from ((name, a, None) for name, a in determinization_corpus())
+    yield "rabin-two-pair", *rabin_to_oba(rabin_two_pair())
+    yield "rabin-behavioural", *rabin_to_oba(rabin_behavioral_two_pair())
+    yield from ((f"eps-{name}", *parity_to_oba(p)) for name, p in eps_complete_corpus())
+
+
+def test_stepped_and_class_routes_agree():
+    """Every period up to five letters (three over the nine letters of the behavioural Rabin
+    morphism), asked in ``finite_words`` order, where every period longer than one letter
+    steps from its one-letter-shorter period, and in shuffled order, where both routes
+    occur.  Each answer is the per-period SCC search's, and ``accepts`` from every {0..m}
+    is the set-based reference's."""
+    rng = random.Random(20261108)
+    sizes, stepped, classed = set(), 0, 0
+    for name, a, morphism in _route_cases(rng):
+        n = a.universe.size
+        sizes.add(n)
+        letters = sorted(morphism.as_dict()) if morphism is not None else a.letters
+        periods = list(finite_words(letters, 5 if len(letters) <= 4 else 3, min_len=1))
+        ref, probe = RefObaOracle(a, morphism), ObaOracle(a, morphism)
+        want = {}
+        for v in periods:
+            verdicts = [ref.accepts(frozenset(range(m + 1)), v) for m in range(-1, n)]
+            want[v] = per_period_least_accepting(probe, v), verdicts
+            assert verdicts == [m >= want[v][0] for m in range(-1, n)], (name, v)
+        for shuffled in (False, True):
+            oracle = ObaOracle(a, morphism)
+            for v in rng.sample(periods, len(periods)) if shuffled else periods:
+                least, verdicts = want[v]
+                assert oracle._least_accepting(v) == least, (name, v, shuffled)
+                assert [oracle.accepts(m, v) for m in range(-1, n)] == verdicts, (name, v, shuffled)
+            if not shuffled:
+                assert set(oracle._period) == set(periods) and not oracle._acc, name
+            else:
+                stepped += len(oracle._period)
+                classed += len(periods) - len(oracle._period)
+    assert sizes >= {1, 2, 3, 4, 5, 6}
+    assert stepped > 1000 and classed > 1000

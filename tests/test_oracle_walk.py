@@ -182,12 +182,13 @@ class TestWalkDifferential:
                 assert npa(intertwine(w)) == want, (name, w)
 
     def test_state_grows_only_with_distinct_periods(self):
-        """5,000 distinct prefixes over seven periods in four classes under rotation and power:
-        the OBA's per-class cache holds four entries; the NPA's per-period table holds seven,
-        its elements and its per-matrix acceptance table one per distinct matrix among the
-        periods' (six), its step table one per period one letter longer than an earlier one
-        (ab, ba, abb, aa), and its letter tables one per letter; the last 4,000 prefixes add
-        nothing."""
+        """5,000 distinct prefixes over seven periods, asked a, b, ab, bba, ba, abb, aa: the
+        OBA's period table holds the six periods of one letter or whose one-letter-shorter
+        period was asked before them, and bba, whose bb was not, leaves one class table; the
+        NPA's per-period table holds seven, its elements and its per-matrix acceptance table
+        one per distinct matrix among the periods' (six), its step table one per period one
+        letter longer than an earlier one (ab, ba, abb, aa), and its letter tables one per
+        letter; the last 4,000 prefixes add nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
         rng = random.Random(20261020)
@@ -196,7 +197,7 @@ class TestWalkDifferential:
             prefixes.add(tuple(rng.choices("ab", k=rng.randint(0, 40))))
         periods = [("a",), ("b",), ("a", "b"), ("b", "b", "a"), ("b", "a"), ("a", "b", "b"), ("a", "a")]
         for oracle, grown in (
-            (ObaOracle(a), {"_acc": 4}),
+            (ObaOracle(a), {"_period": 6, "_acc": 1}),
             (DpaOracle(det), {}),
             (
                 NpaOracle(apply_eps_completion(det)),
@@ -215,12 +216,12 @@ class TestWalkDifferential:
 
     def test_equiv_searches_once_per_class(self):
         """One ``equiv_up`` over three letters at bounds 2/3 asks all 39 periods of each prefix
-        state but leaves one table per class: the 3 + 3 + 8 least rotations of primitive words
-        of length 1, 2 and 3."""
+        state shortest first, so each period steps from its one-letter-shorter period: one
+        period entry each, and no class table."""
         oba, _ = rabin_to_oba(rabin_two_pair())
         oracle = ObaOracle(oba)
         assert equiv_up(oracle, DpaOracle(determinize(oba)), oba.letters, 2, 3) is None
-        assert len(oracle._acc) == 14
+        assert len(oracle._period) == 39 and not oracle._acc
 
 
 def _npa_table_cases():
@@ -446,6 +447,15 @@ class TestSplitAgreesWithMember:
             with pytest.raises(UsageError) as split:
                 oracle.accepts(oracle.after(w.prefix), w.period)
             assert str(split.value) == str(whole.value), w
+
+    def test_empty_period_is_a_usage_error(self):
+        """Each oracle refuses an empty period with a usage error, and then still answers."""
+        for flavour, make in _flavours(fig_inf_aa_fin_bb()):
+            oracle = make()
+            state = oracle.after(("a",))
+            with pytest.raises(UsageError):
+                oracle.accepts(state, ())
+            assert oracle.accepts(state, ("a",)), flavour
 
     @pytest.mark.parametrize("flavour", ["oba", "dpa", "npa"])
     def test_prefix_letter_named_before_the_period_letter(self, flavour):

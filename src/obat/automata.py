@@ -18,8 +18,11 @@ period ``NpaOracle`` multiplies out, and ``ObaOracle`` reads off its class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
+from types import MappingProxyType
 
 from .tiles import (
     StateUniverse,
@@ -76,24 +79,32 @@ class Morphism:
             raise UsageError(f"letter {e.args[0]!r} not in morphism domain") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderedBuchiAutomaton:
-    """Tile automaton over an ordered state set.
+    """Tile automaton over an ordered state set; a frozen value.
 
     Tiles are upward-closed by construction.  Construction also checks the
     other invariants, in this order, and raises a :class:`ValidationError`
-    ``"<kind>: <witness>"`` for the first one violated: every initial state
-    is in range (``initial``), the initial set is downward-closed
-    (``initial-not-downward-closed``) and every tile is over the
-    automaton's universe (``tile-universe``).
+    for the first one violated: every tile letter name is a string
+    (``tile letter names must be strings``) other than ``eps`` (``tile
+    letter name 'eps' is reserved``); then, as ``"<kind>: <witness>"``,
+    every initial state is in range (``initial``), the initial set is
+    downward-closed (``initial-not-downward-closed``) and every tile is over
+    the automaton's universe (``tile-universe``).  ``alphabet`` is held as a
+    read-only copy, so a changed automaton is made with
+    ``dataclasses.replace``, which checks it again.
     """
 
     universe: StateUniverse
     initial: frozenset[int]
-    alphabet: dict[str, Tile]
+    alphabet: Mapping[str, Tile] = field(hash=False)
 
     def __post_init__(self) -> None:
-        u, initial = self.universe, self.initial
+        u, initial, alphabet = self.universe, self.initial, self.alphabet
+        if not all(map(isinstance, alphabet, repeat(str))):
+            raise ValidationError("tile letter names must be strings")
+        if EPS in alphabet:
+            raise ValidationError(f"tile letter name {EPS!r} is reserved")
         if len(initial) > u.size or initial != frozenset(range(len(initial))):  # not {0..k-1}
             out = min((q for q in initial if not 0 <= q < u.size), default=None)
             if out is not None:
@@ -104,26 +115,30 @@ class OrderedBuchiAutomaton:
                 f"initial-not-downward-closed: {u.states[above]} is initial but {u.states[gap]} below it is not"
             )
         # a loaded document's tiles share its universe object, so the identity test decides
-        stray = sorted(x for x, t in self.alphabet.items() if t.universe is not u and t.universe != u)
+        stray = sorted(x for x, t in alphabet.items() if t.universe is not u and t.universe != u)
         if stray:
             raise ValidationError(f"tile-universe: tile {stray[0]!r} built over a different universe")
+        object.__setattr__(self, "alphabet", MappingProxyType(dict(alphabet)))
 
     @property
     def letters(self) -> tuple[str, ...]:
         return tuple(sorted(self.alphabet))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParityAutomaton:
-    """Nondeterministic min-parity automaton, possibly with ε-transitions.
+    """Nondeterministic min-parity automaton, possibly with ε-transitions; a frozen value.
 
     ``records``/``universe`` are carried by determinization results so that
-    the record structure of each state stays recoverable.  Construction
-    raises a :class:`ValidationError` for the first fault: the index, the
-    states, the initial set, each transition's states and priority, the
-    determinism of a deterministic automaton, a non-ε transition letter
-    outside a declared ``alphabet``, then records that are not exactly one
-    per state.
+    the record structure of each state stays recoverable; ``records`` is
+    held as a read-only copy.  Construction raises a
+    :class:`ValidationError` for the first fault: a declared ``alphabet``
+    letter that is not a string or is ``eps``, the index, the states, the
+    initial set, a transition letter that is not a string, each
+    transition's states and priority, the determinism of a deterministic
+    automaton, a non-ε transition letter outside a declared ``alphabet``,
+    then ``records`` without ``universe`` or the reverse, records that are
+    not exactly one per state, and a record entry outside the universe.
     """
 
     states: tuple[str, ...]
@@ -132,10 +147,16 @@ class ParityAutomaton:
     transitions: frozenset[tuple[str, str, int, str]]
     deterministic: bool = False
     alphabet: frozenset[str] | None = None
-    records: dict[str, tuple[int, ...]] | None = None
+    records: Mapping[str, tuple[int, ...]] | None = field(default=None, hash=False)
     universe: StateUniverse | None = None
 
     def __post_init__(self) -> None:
+        alphabet = self.alphabet
+        if alphabet is not None:
+            if not all(map(isinstance, alphabet, repeat(str))):
+                raise ValidationError("alphabet letters must be strings")
+            if EPS in alphabet:
+                raise ValidationError(f"alphabet letter {EPS!r} is reserved for ε-transitions")
         lo, hi = self.index
         if lo > hi:
             raise ValidationError(f"empty priority index [{lo},{hi}]")
@@ -146,11 +167,11 @@ class ParityAutomaton:
             raise ValidationError("state identifiers must be pairwise distinct")
         if not self.initial <= stateset:
             raise ValidationError("initial states must be declared states")
-        alphabet = self.alphabet
-        declared = alphabet is not None
-        undeclared = False  # some non-ε transition letter is outside the declared alphabet
+        letters = set(map(itemgetter(1), self.transitions))
+        if not all(map(isinstance, letters, repeat(str))):
+            raise ValidationError("transition letters must be strings")
         for (p, a, c, q) in self.transitions:
-            if p not in stateset or q not in stateset or not lo <= c <= hi or declared and a not in alphabet and a != EPS:
+            if p not in stateset or q not in stateset or not lo <= c <= hi:
                 for (p, a, c, q) in sorted(self.transitions):  # the least offender, whatever the hash seed
                     if p not in stateset or q not in stateset:
                         raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
@@ -158,8 +179,6 @@ class ParityAutomaton:
                         raise ValidationError(
                             f"priority {c} of transition {(p, a, c, q)} outside index [{lo},{hi}]"
                         )
-                undeclared = True  # reported after the determinism checks
-                break
         if self.deterministic:
             if len(self.initial) != 1:
                 raise ValidationError("deterministic automaton needs exactly one initial state")
@@ -168,17 +187,25 @@ class ParityAutomaton:
                 pairs.sort()
                 p, a = next(x for x, y in zip(pairs, pairs[1:]) if x == y)
                 raise ValidationError(f"nondeterministic on ({p!r}, {a!r})")
-        if undeclared:
+        if alphabet is not None and not letters - {EPS} <= alphabet:
             t = min(t for t in self.transitions if t[1] not in alphabet and t[1] != EPS)
             raise ValidationError(f"transition {t} uses undeclared letter")
-        records = self.records
-        if records is not None and records.keys() != stateset:
-            for name in records:
-                if name not in stateset:
-                    raise ValidationError(f"record {name!r} is not a declared state")
+        records, universe = self.records, self.universe
+        if (records is None) != (universe is None):
+            raise ValidationError("records and universe must be given together")
+        if records is not None:
+            if records.keys() != stateset:
+                for name in records:
+                    if name not in stateset:
+                        raise ValidationError(f"record {name!r} is not a declared state")
+                for name in self.states:
+                    if name not in records:
+                        raise ValidationError(f"records omit state {name!r}")
             for name in self.states:
-                if name not in records:
-                    raise ValidationError(f"records omit state {name!r}")
+                for q in records[name]:
+                    if type(q) is not int or not 0 <= q < universe.size:
+                        raise ValidationError(f"record {name!r} entry {q!r} is not a state of the universe")
+            object.__setattr__(self, "records", MappingProxyType(dict(records)))
 
     @property
     def effective_alphabet(self) -> frozenset[str]:
@@ -187,37 +214,16 @@ class ParityAutomaton:
         return frozenset(a for (_, a, _, _) in self.transitions if a != EPS)
 
 
-@dataclass
-class ValidationIssue:
-    kind: str
-    message: str
+def oba_validate(a: OrderedBuchiAutomaton) -> tuple[str, ...]:
+    """The names of the states unreachable from the initial set, in the state order.
 
-
-@dataclass
-class ValidationReport:
-    warnings: list[ValidationIssue] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        return "\n".join(f"warning ({w.kind}): {w.message}" for w in self.warnings) or "valid"
-
-
-def oba_validate(a: OrderedBuchiAutomaton) -> ValidationReport:
-    """Warn about every state unreachable from the initial set.
-
-    The ordered-Büchi invariants hold by construction, so the report holds
-    warnings only.  They need one walk from max(I) under the letters'
-    top-successor maps, so they are made only here.
+    The ordered-Büchi invariants hold by construction, so this is all that
+    is left to report.  It needs one walk from max(I) under the letters'
+    top-successor maps, so it is made only here.
     """
     # initial and successor sets are downward-closed: every state up to the
     # greatest one reached from max(I) is reachable
-    names = a.universe.states
-    reach = max(_walk_from_initial(a)[0], default=-1)
-    return ValidationReport(
-        [
-            ValidationIssue("unreachable-state", f"state {names[q]} is unreachable from the initial set")
-            for q in range(reach + 1, a.universe.size)
-        ]
-    )
+    return a.universe.states[max(_walk_from_initial(a)[0], default=-1) + 1 :]
 
 
 def _fold(start: frozenset, succs) -> frozenset:
@@ -325,6 +331,7 @@ class ObaOracle:
         self._tile = {x: a.alphabet[t] for x, t in names.items()}  # query letter -> tile
         self._top = {x: tile.top for x, tile in self._tile.items()}
         self._letters = frozenset(self._top)
+        self.alphabet = self._letters - {EPS}  # the query letters
         self._period: dict[tuple[str, ...], tuple[Tile, int]] = {}
         self._acc: dict[tuple[str, ...], tuple[int, ...]] = {}
 
@@ -433,11 +440,11 @@ class DpaOracle:
                 raise UsageError("DpaOracle does not handle ε-transitions")
             self._delta[(p, a)] = (c, q)
         (self._initial,) = d.initial
-        self._letters = d.effective_alphabet
+        self.alphabet = d.effective_alphabet  # the query letters
 
     def after(self, prefix: tuple[str, ...]) -> str | None:
         """The run state after ``prefix``; None once the run has died."""
-        _require_letters(self._letters, prefix)
+        _require_letters(self.alphabet, prefix)
         state = self._initial
         for letter in prefix:
             hit = self._delta.get((state, letter))  # a dead run (None) has no successor
@@ -448,7 +455,7 @@ class DpaOracle:
 
     def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         """Whether the run from ``state`` on period^ω is accepting."""
-        _require_letters(self._letters, period)
+        _require_letters(self.alphabet, period)
         if not period:
             raise UsageError("period must be nonempty")
         if state is None:
@@ -579,7 +586,8 @@ class NpaOracle:
         for (p, x, c, q) in a.transitions:
             row = self._rel.setdefault(x, {}).setdefault(p, {})
             row[q] = row.get(q, frozenset()) | {c}
-        self._letters = a.effective_alphabet | {EPS}
+        self.alphabet = a.effective_alphabet  # the query letters, besides ε
+        self._letters = self.alphabet | {EPS}
         # the unit of min: odd, so it never looks accepting, and above every priority of the index
         self._unit: _Matrix = {p: {p: frozenset({(a.index[1] + 1) | 1})} for p in a.states}
         self._eclosure = self._compute_eclosure()

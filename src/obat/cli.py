@@ -138,8 +138,6 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
         initial = frozenset(universe.index(s) for s in _typed(doc["initial"], list, "initial", path))
         alphabet: dict[str, Tile] = {}
         for letter, body in _typed(doc["alphabet"], dict, "alphabet", path).items():
-            if letter == EPS:
-                raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
             if "skeleton" in body:
                 build, key = upward_closure, "skeleton"
             elif "transitions" in body:
@@ -192,10 +190,6 @@ def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
         alphabet = None
         if "alphabet" in doc:
             alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet", path))
-            if not all(isinstance(x, str) for x in alphabet):
-                raise ValidationError(f"{path}: alphabet letters must be strings")
-            if EPS in alphabet:
-                raise ValidationError(f"{path}: alphabet letter {EPS!r} is reserved for ε-transitions")
         records = universe = None
         if record_doc is not None:
             universe = _universe(_typed(doc["universe"], list, "universe", path), path)
@@ -441,14 +435,6 @@ def _oracle_for(kind: str, automaton, morphism):
     return NpaOracle(automaton)
 
 
-def _alphabet_for(kind: str, automaton, morphism):
-    if kind == "ordered-buchi":
-        if morphism is not None:
-            return frozenset(dict(morphism.mapping)) - {EPS}
-        return frozenset(automaton.alphabet)
-    return automaton.effective_alphabet
-
-
 def _split_letters(raw: str) -> tuple[str, ...]:
     return tuple(raw.split())
 
@@ -462,9 +448,10 @@ def cmd_validate(args) -> int:
     except ValidationError as e:
         print(e)
         return FALSE
-    if kind == "ordered-buchi":
-        print(oba_validate(automaton))
-    else:
+    unreachable = oba_validate(automaton) if kind == "ordered-buchi" else ()
+    for name in unreachable:
+        print(f"warning (unreachable-state): state {name} is unreachable from the initial set")
+    if not unreachable:
         print("valid")
     return OK
 
@@ -532,20 +519,11 @@ def cmd_convert_parity(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    kind1, a1, m1 = load_document(args.file1)
-    kind2, a2, m2 = load_document(args.file2)
-    alpha1, alpha2 = _alphabet_for(kind1, a1, m1), _alphabet_for(kind2, a2, m2)
-    if alpha1 != alpha2:
-        raise UsageError(
-            f"alphabets differ: {sorted(alpha1)} vs {sorted(alpha2)}"
-        )
-    cex = equiv_up(
-        _oracle_for(kind1, a1, m1),
-        _oracle_for(kind2, a2, m2),
-        alpha1,
-        args.max_prefix,
-        args.max_period,
-    )
+    o1 = _oracle_for(*load_document(args.file1))
+    o2 = _oracle_for(*load_document(args.file2))
+    if o1.alphabet != o2.alphabet:
+        raise UsageError(f"alphabets differ: {sorted(o1.alphabet)} vs {sorted(o2.alphabet)}")
+    cex = equiv_up(o1, o2, o1.alphabet, args.max_prefix, args.max_period)
     if cex is None:
         print(f"equal within bounds (prefix <= {args.max_prefix}, period <= {args.max_period})")
         return OK
@@ -554,13 +532,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_posi_check(args) -> int:
-    kind, automaton, morphism = load_document(args.file)
-    report = check_local_preference(
-        _oracle_for(kind, automaton, morphism),
-        _alphabet_for(kind, automaton, morphism),
-        max_u=args.max_prefix,
-        max_period=args.max_period,
-    )
+    oracle = _oracle_for(*load_document(args.file))
+    report = check_local_preference(oracle, oracle.alphabet, max_u=args.max_prefix, max_period=args.max_period)
     print(report)
     return OK if report.ok else FALSE
 

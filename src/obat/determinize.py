@@ -121,7 +121,7 @@ def eps_complete_det(d: ParityAutomaton) -> frozenset[tuple[str, str, int, str]]
     (compared on the first i+1 entries) and priority 2i+1 to lexicographically
     greater-or-equal ones.
     """
-    if d.records is None or d.universe is None:
+    if d.records is None:  # construction gives records and universe together
         raise UsageError("automaton does not carry record states")
     n = d.universe.size
     out: set[tuple[str, str, int, str]] = set()

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from obat import (
     up,
     upward_closure,
 )
+from obat.determinize import apply_eps_completion, determinize
 from obat.cli import FALSE, OK, load_document, main, oba_to_doc, parity_to_doc, write_doc
 from obat.verify import enumerate_up_words
 
@@ -41,7 +44,7 @@ from zoo import (
 
 class TestObaValidate:
     def test_inf_a_valid(self):
-        assert str(oba_validate(inf_a())) == "valid"
+        assert oba_validate(inf_a()) == ()
 
     def test_initial_not_downward_closed(self):
         """Refused at construction, so ``determinize`` cannot emit records like (s1) from {s1}."""
@@ -59,8 +62,7 @@ class TestObaValidate:
     def test_unreachable_state_warned(self):
         u = StateUniverse(("s0", "s1"))
         a = OrderedBuchiAutomaton(u, frozenset({0}), {"a": upward_closure(u, [(0, 1, 0)])})
-        report = oba_validate(a)
-        assert [w.kind for w in report.warnings] == ["unreachable-state"]
+        assert oba_validate(a) == ("s1",)
 
     def test_unreachable_states_match_explicit_search(self):
         rng = random.Random(31)
@@ -71,8 +73,7 @@ class TestObaValidate:
                 step = {q for t in a.alphabet.values() for (p, _, q) in t.transitions if p in frontier}
                 frontier = step - seen
                 seen |= frontier
-            warned = {w.message.split()[1] for w in oba_validate(a).warnings}
-            assert warned == {a.universe.name(q) for q in range(a.universe.size) if q not in seen}
+            assert oba_validate(a) == tuple(a.universe.name(q) for q in range(a.universe.size) if q not in seen)
 
     def test_only_validate_and_stats_walk_from_the_initial_set(self, tmp_path, monkeypatch, capsys):
         """Loading checks the invariants without the reachability walk; ``validate`` and ``stats`` walk once."""
@@ -87,7 +88,8 @@ class TestObaValidate:
         cases = [OrderedBuchiAutomaton(u, frozenset({0}), {"a": upward_closure(u, [(0, 1, 0)])})]
         rng = random.Random(31)
         cases += [random_oba(rng, max_states=6) for _ in range(40)]
-        expected = [str(oba_validate(a)) for a in cases]
+        warning = "warning (unreachable-state): state {} is unreachable from the initial set\n"
+        expected = ["".join(map(warning.format, oba_validate(a))) or "valid\n" for a in cases]
         assert sum(text.count("unreachable-state") for text in expected) >= 10
         for name in ("obat.automata", "obat.determinize", "obat.verify"):
             monkeypatch.setattr(importlib.import_module(name), "_walk_from_initial", counted)
@@ -99,7 +101,7 @@ class TestObaValidate:
             assert len(calls) == 0
             capsys.readouterr()
             assert main(["validate", path]) == OK
-            assert capsys.readouterr().out == text + "\n"
+            assert capsys.readouterr().out == text
             assert len(calls) == 1
             assert main(["stats", path]) == OK
             assert len(calls) == 2
@@ -138,8 +140,7 @@ class TestObaMembership:
             ObaOracle(inf_a())(up((), "z"))
 
     def test_empty_initial_rejects_everything(self):
-        a = inf_a()
-        a.initial = frozenset()
+        a = dataclasses.replace(inf_a(), initial=frozenset())
         oracle = ObaOracle(a)
         assert not any(oracle(w) for w in enumerate_up_words("ab", 2, 2))
 
@@ -206,7 +207,7 @@ class TestResiduals:
     def test_after_a(self):
         a = inf_a()
         assert reached_states(a, ("a",)) == {0, 1} == set(range(ObaOracle(a).after(("a",)) + 1))
-        a.initial = frozenset({0})
+        a = dataclasses.replace(a, initial=frozenset({0}))
         oracle = ObaOracle(a)
         for word, m in [((), 0), (("b",), 0), (("a",), -1), (("b", "a"), -1), (("a", "b"), -1)]:
             assert oracle.after(word) == m, word
@@ -227,12 +228,12 @@ class TestResiduals:
                 assert s1 <= s2 or s2 <= s1
 
 
-def _single_loop(priority: int) -> ParityAutomaton:
+def _single_loop(priority: int, letter="a") -> ParityAutomaton:
     return ParityAutomaton(
         states=("q",),
         initial=frozenset({"q"}),
         index=(0, 1),
-        transitions=frozenset({("q", "a", priority, "q")}),
+        transitions=frozenset({("q", letter, priority, "q")}),
     )
 
 
@@ -263,6 +264,104 @@ class TestParityAutomaton:
                 index=(0, 1),
                 transitions=frozenset({("x", "a", 0, "x")}),
             )
+
+
+def _det_fields(**changes) -> dict:
+    """The constructor fields of ``inf_a``'s determinization, with ``changes``."""
+    det = determinize(inf_a())
+    return {f.name: getattr(det, f.name) for f in dataclasses.fields(det)} | changes
+
+
+def _with_letter(name) -> OrderedBuchiAutomaton:
+    """``inf_a`` with its letter b renamed to ``name``."""
+    a = inf_a()
+    return OrderedBuchiAutomaton(a.universe, a.initial, {"a": a.alphabet["a"], name: a.alphabet["b"]})
+
+
+# one probe per letter, alphabet and record rule of the constructors, with the message it raises
+CONSTRUCTION_PROBES = {
+    "tile-letter-eps": (lambda: _with_letter(EPS), "tile letter name 'eps' is reserved"),
+    "tile-letter-int": (lambda: _with_letter(1), "tile letter names must be strings"),
+    "parity-alphabet-eps": (
+        lambda: ParityAutomaton(**_det_fields(alphabet=frozenset({"a", "b", EPS}))),
+        "alphabet letter 'eps' is reserved for ε-transitions",
+    ),
+    "parity-alphabet-int": (
+        lambda: ParityAutomaton(**_det_fields(alphabet=frozenset({"a", "b", 1}))),
+        "alphabet letters must be strings",
+    ),
+    "transition-letter-int": (lambda: _single_loop(0, letter=1), "transition letters must be strings"),
+    "records-without-universe": (
+        lambda: ParityAutomaton(**_det_fields(universe=None)),
+        "records and universe must be given together",
+    ),
+    "universe-without-records": (
+        lambda: ParityAutomaton(**_det_fields(records=None)),
+        "records and universe must be given together",
+    ),
+    "record-entry-outside-universe": (
+        lambda: ParityAutomaton(**_det_fields(records={"(s1,s0)": (1, 2)})),
+        "record '(s1,s0)' entry 2 is not a state of the universe",
+    ),
+}
+
+
+class TestFrozenValues:
+    """Both automaton types are frozen values: every change goes through the constructor's checks."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTION_PROBES))
+    def test_construction_probe_raises(self, name):
+        probe, message = CONSTRUCTION_PROBES[name]
+        with pytest.raises(ValidationError) as e:
+            probe()
+        assert str(e.value) == message
+
+    def test_every_field_assignment_raises(self):
+        det = determinize(inf_a())
+        for value in (inf_a(), det, apply_eps_completion(det), _single_loop(0)):
+            for f in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, f.name, getattr(value, f.name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, f.name)
+
+    def test_every_mapping_write_raises(self):
+        a, det = inf_a(), determinize(inf_a())
+        for mapping, key, value in ((a.alphabet, "a", a.alphabet["b"]), (det.records, det.states[0], ())):
+            writes = ((operator.setitem, (key, value)), (operator.setitem, ("new", value)), (operator.delitem, (key,)))
+            for write, args in writes:
+                with pytest.raises(TypeError):  # 'mappingproxy' object does not support item assignment
+                    write(mapping, *args)
+            for method in ("clear", "pop", "popitem", "setdefault", "update"):
+                assert not hasattr(mapping, method), method
+        assert a == inf_a() and det == determinize(inf_a())
+
+    def test_the_given_mappings_are_copied(self):
+        tiles = dict(inf_a().alphabet)
+        a = OrderedBuchiAutomaton(inf_a().universe, inf_a().initial, tiles)
+        records = dict(determinize(inf_a()).records)
+        det = ParityAutomaton(**_det_fields(records=records))
+        tiles["c"] = tiles.pop("a")
+        records.clear()
+        assert a == inf_a() and det == determinize(inf_a())
+
+    def test_replace_checks_again(self):
+        """A changed copy is checked as a new automaton is: an initial set {s1} would make ``determinize``
+        emit the records (s1) and (s1,s0), which are not records."""
+        with pytest.raises(ValidationError) as e:
+            dataclasses.replace(inf_a(), initial=frozenset({1}))
+        assert str(e.value) == "initial-not-downward-closed: s1 is initial but s0 below it is not"
+        with pytest.raises(ValidationError, match="records and universe must be given together"):
+            dataclasses.replace(determinize(inf_a()), records=None)
+        with pytest.raises(ValidationError, match="tile letter name 'eps' is reserved"):
+            dataclasses.replace(inf_a(), alphabet={EPS: unit_tile(inf_a().universe)})
+
+    def test_equal_values_hash_alike(self):
+        det = determinize(inf_a())
+        for value in (inf_a(), det, apply_eps_completion(det), _single_loop(0)):
+            copy = dataclasses.replace(value)
+            assert copy == value and hash(copy) == hash(value)
+        assert len({inf_a(), inf_a(), dataclasses.replace(inf_a(), initial=frozenset({0}))}) == 2
 
 
 class TestNpaMembership:

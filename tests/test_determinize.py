@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -70,13 +71,11 @@ class TestInitialRecord:
         assert _initial_record(inf_a()) == (1, 0)
 
     def test_single_initial(self):
-        a = inf_a()
-        a.initial = frozenset({0})
+        a = dataclasses.replace(inf_a(), initial=frozenset({0}))
         assert _initial_record(a) == (0,)
 
     def test_empty_initial(self):
-        a = inf_a()
-        a.initial = frozenset()
+        a = dataclasses.replace(inf_a(), initial=frozenset())
         assert _initial_record(a) == ()
 
 
@@ -185,8 +184,7 @@ class TestEpsCompleteDet:
         assert check_eps_complete(apply_eps_completion(determinize(inf_a()))).ok
 
     def test_requires_records(self):
-        det = determinize(inf_a())
-        det.records = None
+        det = dataclasses.replace(determinize(inf_a()), records=None, universe=None)
         with pytest.raises(UsageError):
             eps_complete_det(det)
 
@@ -212,8 +210,7 @@ class TestReachableResiduals:
             assert not entries or entries[0] in heads
 
     def test_empty_initial(self):
-        a = inf_a()
-        a.initial = frozenset()
+        a = dataclasses.replace(inf_a(), initial=frozenset())
         assert reachable_residuals(a) == frozenset()
 
 
@@ -233,8 +230,7 @@ class TestCandidateRecords:
         assert EMPTY_RECORD in candidate_records(a)
 
     def test_empty_initial_budget_is_the_empty_record(self):
-        a = inf_a()
-        a.initial = frozenset()
+        a = dataclasses.replace(inf_a(), initial=frozenset())
         assert candidate_records(a) == {EMPTY_RECORD}
 
     def test_empty_tile_detection(self):

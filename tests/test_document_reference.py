@@ -136,8 +136,6 @@ def ref_parse_oba(doc, path):
         initial = frozenset(universe.index(s) for s in ref_typed(doc["initial"], list, "initial", path))
         alphabet = {}
         for letter, body in ref_typed(doc["alphabet"], dict, "alphabet", path).items():
-            if letter == EPS:
-                raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
             if "skeleton" in body:
                 build, key = ref_upward_closure, "skeleton"
             elif "transitions" in body:
@@ -156,6 +154,8 @@ def ref_parse_oba(doc, path):
         if isinstance(e, ValidationError):
             raise
         raise ValidationError(f"{path}: malformed ordered-buchi document ({e})") from None
+    if EPS in alphabet:  # a document's letter names are strings
+        raise ValidationError(f"{path}: tile letter name {EPS!r} is reserved")
     issues = ref_oba_issues(universe, initial, alphabet)
     if issues:
         raise ValidationError(f"{path}: {issues[0][0]}: {issues[0][1]}")
@@ -169,8 +169,13 @@ def ref_parse_oba(doc, path):
     return a, morphism
 
 
-def ref_check_parity(states, initial, index, transitions, deterministic, alphabet=None, records=None):
+def ref_check_parity(states, initial, index, transitions, deterministic, alphabet=None, records=None, universe=None):
     """The checks of ``ParityAutomaton.__post_init__``, one transition at a time in sorted order."""
+    if alphabet is not None:
+        if not all(isinstance(x, str) for x in alphabet):
+            raise ValidationError("alphabet letters must be strings")
+        if EPS in alphabet:
+            raise ValidationError(f"alphabet letter {EPS!r} is reserved for ε-transitions")
     lo, hi = index
     if lo > hi:
         raise ValidationError(f"empty priority index [{lo},{hi}]")
@@ -181,6 +186,9 @@ def ref_check_parity(states, initial, index, transitions, deterministic, alphabe
         raise ValidationError("state identifiers must be pairwise distinct")
     if not initial <= stateset:
         raise ValidationError("initial states must be declared states")
+    for t in transitions:
+        if not isinstance(t[1], str):
+            raise ValidationError("transition letters must be strings")
     for (p, a, c, q) in sorted(transitions):
         if p not in stateset or q not in stateset:
             raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
@@ -200,6 +208,8 @@ def ref_check_parity(states, initial, index, transitions, deterministic, alphabe
         for t in sorted(transitions):
             if t[1] != EPS and t[1] not in alphabet:
                 raise ValidationError(f"transition {t} uses undeclared letter")
+    if (records is None) != (universe is None):
+        raise ValidationError("records and universe must be given together")
     if records is not None:
         for name in records:
             if name not in stateset:
@@ -207,6 +217,10 @@ def ref_check_parity(states, initial, index, transitions, deterministic, alphabe
         for name in states:
             if name not in records:
                 raise ValidationError(f"records omit state {name!r}")
+        for name in states:
+            for q in records[name]:
+                if type(q) is not int or not 0 <= q < universe.size:
+                    raise ValidationError(f"record {name!r} entry {q!r} is not a state of the universe")
 
 
 def ref_parity(**fields):
@@ -218,6 +232,7 @@ def ref_parity(**fields):
         fields["deterministic"],
         fields.get("alphabet"),
         fields.get("records"),
+        fields.get("universe"),
     )
     return ParityAutomaton(**fields)
 
@@ -236,10 +251,6 @@ def ref_parse_parity(doc, path, deterministic):
         alphabet = None
         if "alphabet" in doc:
             alphabet = frozenset(ref_typed(doc["alphabet"], list, "alphabet", path))
-            if not all(isinstance(x, str) for x in alphabet):
-                raise ValidationError(f"{path}: alphabet letters must be strings")
-            if EPS in alphabet:
-                raise ValidationError(f"{path}: alphabet letter {EPS!r} is reserved for ε-transitions")
         records = universe = None
         if record_doc is not None:
             universe = ref_universe(ref_typed(doc["universe"], list, "universe", path), path)
@@ -464,6 +475,13 @@ MALFORMED = {
     "oba-skeleton-string": _with(OBA, alphabet={"a": {"skeleton": "abc"}}),
     "oba-no-tile-key": _with(OBA, alphabet={"a": {"rows": []}}),
     "oba-eps-letter": _with(OBA, alphabet={"eps": {"skeleton": []}}),
+    # the letter-name rules are the constructors': checked after every letter is built and typed
+    "oba-eps-before-bad-type": _with(OBA, alphabet={"eps": {"skeleton": []}, "b": {"skeleton": [[1, 1.0, 1]]}}),
+    "oba-eps-before-not-closed": _with(OBA, alphabet={"eps": {"skeleton": []}, "b": {"transitions": [[0, 1, 1], [1, 1, 2]]}}),
+    "oba-eps-and-initial-not-downward-closed": _with(OBA, initial=["s1"], alphabet={"eps": {"skeleton": []}}),
+    "det-alphabet-int-and-universe-int": _with(DET, alphabet=[1, "b"], universe=["q", "p", 3]),
+    "det-alphabet-eps-and-record-unknown": _with(DET, alphabet=["a", "b", "eps"], records={"(p,q)": ["x"]}),
+    "parity-alphabet-eps-and-index-reversed": _with(PARITY, alphabet=["a", "eps"], index=[2, 0]),
     "oba-initial-unknown": _with(OBA, initial=["s0", "s9"]),
     "oba-initial-not-downward-closed": _with(OBA, initial=["s1"]),
     "oba-morphism-unknown": _with(OBA, morphism={"x": "a", "y": "c"}),
@@ -576,14 +594,17 @@ def test_upward_closure_same_tile_or_error():
 
 def test_parity_automaton_same_checks():
     """Random fields, declared alphabets that may miss a transition's letter, and records that may
-    miss or add a state; the alphabets and records come from a second generator, so the other
+    miss or add a state; the alphabets and records come from a second generator, and the record
+    entries and the universe, which may be missing or given alone, from a third, so the other
     fields are drawn as before they were added."""
-    rng, extra = random.Random(99), random.Random(98)
+    rng, extra, third = random.Random(99), random.Random(98), random.Random(97)
     states = ("x", "y", "z")
     faults = {
         "undeclared letter": "letter",
         "is not a declared state": "record-extra",
         "records omit state": "record-omit",
+        "records and universe must be given together": "records-universe",
+        "is not a state of the universe": "record-entry",
     }
     seen = set()
     for _ in range(3000):
@@ -603,7 +624,11 @@ def test_parity_automaton_same_checks():
         )
         if extra.random() < 0.3:
             names = set(extra.sample(states, extra.choice((2, 3, 3)))) | set(extra.sample(("v", "w"), extra.choice((0, 0, 1))))
-            fields["records"] = {name: () for name in extra.sample(sorted(names), len(names))}
+            fields["records"] = {
+                name: third.choice(((), (), (0,), (1, 0), (2,), (-1,))) for name in extra.sample(sorted(names), len(names))
+            }
+        if third.random() < (0.9 if "records" in fields else 0.05):
+            fields["universe"] = _universe(2)
         outcome = _same(lambda: ParityAutomaton(**fields), lambda: ref_parity(**fields))
         if outcome[0] == "ok":
             seen.add("ok")
@@ -636,9 +661,12 @@ def test_malformed_corpus_covers_each_check():
 
 
 def test_cross_letter_faults_name_the_earlier_letter():
-    """A build fault, an ε letter or a short row in one letter and a wrong entry type in another:
-    the reference names whichever letter comes first, so a library that tests entry types
-    before building, or only after the loop, shows here."""
+    """A build fault or a short row in one letter and a wrong entry type in another: the
+    reference names whichever letter comes first, so a library that tests entry types before
+    building, or only after the loop, shows here.  The letter-name rules belong to the
+    constructors, so an ``eps`` tile letter or a bad declared parity alphabet is named only
+    after every letter is built and typed, and after the universe and the records are read,
+    but before the other construction checks."""
     expected = {
         "oba-out-of-range-then-bool-two-letters-on": "tile 'a': transition (0, 0, 5) out of range",
         "oba-out-of-range-then-float-two-letters-on": "tile 'a': transition (4, 1, 0) out of range",
@@ -647,6 +675,12 @@ def test_cross_letter_faults_name_the_earlier_letter():
         "oba-eps-after-bad-type": "tile 'b' entry must be a JSON integer, got float",
         "oba-eps-after-bool": "tile 'a' entry must be a JSON integer, got bool",
         "oba-short-row-after-bad-type": "tile 'a' entry must be a JSON integer, got float",
+        "oba-eps-before-bad-type": "tile 'b' entry must be a JSON integer, got float",
+        "oba-eps-before-not-closed": "tile-not-upward-closed: tile 'b' contains",
+        "oba-eps-and-initial-not-downward-closed": "tile letter name 'eps' is reserved",
+        "det-alphabet-int-and-universe-int": "state identifiers must be strings",
+        "det-alphabet-eps-and-record-unknown": "malformed parity document (unknown state 'x')",
+        "parity-alphabet-eps-and-index-reversed": "alphabet letter 'eps' is reserved for ε-transitions",
     }
     for name, start in expected.items():
         outcome = _parse(copy.deepcopy(MALFORMED[name]))

@@ -26,6 +26,7 @@ asked shortest first and in shuffled order, must get the same answer from
 both.
 """
 
+import dataclasses
 import functools
 import random
 
@@ -334,8 +335,7 @@ def test_long_words(make):
 
 def test_empty_initial_set():
     rng = random.Random(20261105)
-    a = random_oba(rng, max_states=4)
-    a.initial = frozenset()
+    a = dataclasses.replace(random_oba(rng, max_states=4), initial=frozenset())
     assert ObaOracle(a).after(()) == -1
     assert _check("empty-initial", a, _words(rng, sorted(a.alphabet))) == {False}
 

@@ -16,7 +16,7 @@ import tracemalloc
 import pytest
 
 from obat import OrderedBuchiAutomaton, StateUniverse, unit_tile, upward_closure
-from obat.cli import _BATCH, _write, oba_to_doc, parity_to_doc, write_doc
+from obat.cli import _BATCH, _write, load_document, oba_to_doc, parity_to_doc, write_doc
 from obat.convert import NotEpsComplete, horizontal_complete_alphabet, parity_to_oba, rabin_to_oba
 from obat.determinize import apply_eps_completion, determinize
 from obat.tiles import UsageError
@@ -117,6 +117,34 @@ def test_bytes_match_json_dumps(tmp_path, group):
             assert path.read_bytes() == expected, (name, stale)
         written += 1
     assert written >= {"corpus": 190, "rabin": 2, "horizontal-complete": 10, "awkward": 7, "batch-edges": 6}[group]
+
+
+def _library_built():
+    """(name, automaton, morphism): the zoo and the 54-automaton corpus, both Rabin specs and the
+    ε-corpus with its conversions, each ordered Büchi automaton with its determinization and
+    that determinization's ε-completion."""
+    obas = [(name, a, None) for name, a in determinization_corpus()]
+    for spec in (rabin_two_pair(), rabin_behavioral_two_pair()):
+        obas.append((f"rabin-{len(spec.alphabet)}-letters", *rabin_to_oba(spec)))
+    for name, p in eps_complete_corpus():
+        yield f"{name}.parity", p, None
+        obas.append((f"{name}.parity.oba", *parity_to_oba(p)))
+    for name, a, morphism in obas:
+        det = determinize(a)
+        yield name, a, morphism
+        yield f"{name}.det", det, None
+        yield f"{name}.eps", apply_eps_completion(det), None
+
+
+def test_documents_load_back_equal(tmp_path):
+    """``load_document`` refuses no document written from a library-built automaton, and gives it back equal."""
+    path = str(tmp_path / "doc.json")
+    count = 0
+    for name, a, morphism in _library_built():
+        write_doc(oba_to_doc(a, morphism) if isinstance(a, OrderedBuchiAutomaton) else parity_to_doc(a), path)
+        assert load_document(path)[1:] == (a, morphism), name
+        count += 1
+    assert count == 3 * (54 + 2 + 6) + 6
 
 
 def test_write_memory_stays_below_the_file_size(tmp_path):

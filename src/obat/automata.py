@@ -14,6 +14,10 @@ value-set matrix and by (period element, letter), and for ``ObaOracle`` also
 by a period's class under rotation and power (see each class).  Both step a
 period from its one-letter-shorter period when that has an entry; any other
 period ``NpaOracle`` multiplies out, and ``ObaOracle`` reads off its class.
+Neither forms a period's powers: ``ObaOracle`` reads the single-tile
+ω-power criterion off the period's tile, and ``NpaOracle`` finds the states
+on a closed walk with an even least value c by reachability over the cells
+of the period's matrix that hold a value of at least c, one c at a time.
 """
 
 from __future__ import annotations
@@ -133,12 +137,15 @@ class ParityAutomaton:
     the record structure of each state stays recoverable; ``records`` is
     held as a read-only copy.  Construction raises a
     :class:`ValidationError` for the first fault: a declared ``alphabet``
-    letter that is not a string or is ``eps``, the index, the states, the
-    initial set, a transition letter that is not a string, each
-    transition's states and priority, the determinism of a deterministic
-    automaton, a non-ε transition letter outside a declared ``alphabet``,
-    then ``records`` without ``universe`` or the reverse, records that are
-    not exactly one per state, and a record entry outside the universe.
+    letter that is not a string or is ``eps``, an index bound that is not an
+    int, the index, the states, the initial set, a transition letter that is
+    not a string, a priority that is not an int, an endpoint that is not a
+    string, each transition's states and priority, the determinism of a
+    deterministic automaton, a non-ε transition letter outside a declared
+    ``alphabet``, then ``records`` without ``universe`` or the reverse,
+    records that are not exactly one per state, and a record entry outside
+    the universe.  One pass over the transitions decides; the type and
+    order tests that name the fault run only when that pass fails.
     """
 
     states: tuple[str, ...]
@@ -158,6 +165,8 @@ class ParityAutomaton:
             if EPS in alphabet:
                 raise ValidationError(f"alphabet letter {EPS!r} is reserved for ε-transitions")
         lo, hi = self.index
+        if type(lo) is not int or type(hi) is not int:  # true and 0.0 are not ints
+            raise ValidationError("index bounds must be ints")
         if lo > hi:
             raise ValidationError(f"empty priority index [{lo},{hi}]")
         if not all(map(isinstance, self.states, repeat(str))):
@@ -170,9 +179,15 @@ class ParityAutomaton:
         letters = set(map(itemgetter(1), self.transitions))
         if not all(map(isinstance, letters, repeat(str))):
             raise ValidationError("transition letters must be strings")
+        # one pass decides; it unpacks every row, so a row that is not a 4-tuple raises here
         for (p, a, c, q) in self.transitions:
-            if p not in stateset or q not in stateset or not lo <= c <= hi:
-                for (p, a, c, q) in sorted(self.transitions):  # the least offender, whatever the hash seed
+            if p not in stateset or q not in stateset or type(c) is not int or not lo <= c <= hi:
+                # the first fault by kind, then the least offender, whatever the hash seed
+                if not {*map(type, map(itemgetter(2), self.transitions))} <= {int}:  # true and 0.0 are not ints
+                    raise ValidationError("transition priorities must be ints")
+                if not all(isinstance(p, str) and isinstance(q, str) for (p, _, _, q) in self.transitions):
+                    raise ValidationError("transition endpoints must be strings")
+                for (p, a, c, q) in sorted(self.transitions):
                     if p not in stateset or q not in stateset:
                         raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
                     if not lo <= c <= hi:
@@ -518,22 +533,64 @@ def _mat_key(a: _Matrix):
     return frozenset((p, q, vals) for p, row in a.items() for q, vals in row.items())
 
 
-def _reach(a: _Matrix, targets: frozenset) -> frozenset:
-    """The states from which ``a``'s graph (p -> q for each stored cell) reaches ``targets``, these included."""
-    if not targets:
-        return targets
-    pred: dict = {}
-    for p, row in a.items():
-        for q in row:
-            pred.setdefault(q, []).append(p)
-    reach = set(targets)
-    todo = list(targets)
-    while todo:
-        for p in pred.get(todo.pop(), ()):
-            if p not in reach:
-                reach.add(p)
-                todo.append(p)
-    return frozenset(reach)
+def _bits(mask: int):
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Row i of the result holds the states whose rows contain i."""
+    cols = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        for j in _bits(mask):
+            cols[j] |= 1 << i
+    return cols
+
+
+def _closure(rows: list[int]) -> list[int]:
+    """``rows`` closed under transitivity in place, by Warshall's pass: row i then holds
+    the states reached from i over one or more edges."""
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
+
+
+def _element_reach(v: _Matrix, states: tuple[str, ...]) -> frozenset[str]:
+    """The states from which the graph of ``v`` reaches an accepting state, these included.
+
+    A state q is accepting when some closed walk through q over whole
+    periods has an even least value, that is, for some even value c held by
+    a cell (x, y), y reaches q and q reaches x through cells that hold a
+    value of at least c: together with (x, y) read at c, those cells close a
+    walk whose least value is exactly c.  That cell is itself an edge of
+    the graph at c, so walks of one or more edges suffice throughout, and
+    one transitive closure per even value decides every state at once.
+    """
+    index = {p: i for i, p in enumerate(states)}
+    cells = [(index[p], index[q], vals, max(vals)) for p, row in v.items() for q, vals in row.items()]
+    accepting = 0
+    for c in {c for _, _, vals, _ in cells for c in vals if c % 2 == 0}:
+        rows = [0] * len(states)
+        for x, y, _, top in cells:
+            if top >= c:
+                rows[x] |= 1 << y
+        reach = _closure(rows)
+        back = _transpose(reach)
+        for x, y, vals, _ in cells:
+            if c in vals:
+                accepting |= reach[y] & back[x]
+    if not accepting:
+        return frozenset()
+    rows = [0] * len(states)
+    for x, y, _, _ in cells:
+        rows[x] |= 1 << y
+    return frozenset(p for p, row in zip(states, _closure(rows)) if row & accepting)
 
 
 class _Element:
@@ -559,25 +616,25 @@ class NpaOracle:
     on every query as a state set through the rows of each ε-closed letter's
     matrix.  No stored cell is ever empty, so a row's keys are exactly its
     state's successors.  A period's value-set matrix collects every
-    least-priority value achievable between two states, so iterating its
-    powers until they repeat covers every lasso shape.
+    least-priority value achievable between two states.
 
     A queried period maps to its *element*: the matrix, interned per
     distinct matrix (``_element``, keyed by :func:`_mat_key`), and its reach
     set, the states from which the matrix's graph reaches an accepting state.
     The states reachable from a start set S over whole periods are exactly
     those of that graph reachable from S, so ``accepts(S, v)`` is whether S
-    meets v's reach set.  Matrix products are the costly part, and three
+    meets v's reach set.  A state is accepting when a closed walk through it
+    over whole periods has an even least value c; such a walk reads one cell
+    at c and every other cell at a value of at least c, so
+    :func:`_element_reach` finds the accepting states by one reachability
+    closure per even value of the matrix, on bitmask rows, and never forms
+    the matrix's powers.  Matrix products are the costly part, and three
     tables save them.  ``_period`` maps each queried period to its element.
     ``_step`` maps (element, letter) to the element of their product, so a
     period one letter longer than one with an entry costs at most one
     product, and none when another period with the same element met that
     letter first; a period with no shorter entry is multiplied out and adds
-    no step.  ``_acc`` holds the accepting states once per distinct matrix:
-    they depend only on the matrix, and are the same for each of its powers,
-    since a closed walk over j periods repeated k times is one over jk
-    periods with the same least priority.  So the powers are iterated only
-    for a matrix seen neither as an element's nor as a power.
+    no step.  ``_letter_mat`` holds one ε-closed matrix per letter.
     """
 
     def __init__(self, a: ParityAutomaton):
@@ -596,7 +653,6 @@ class NpaOracle:
         self._period: dict[tuple[str, ...], _Element] = {}
         self._element: dict[frozenset, _Element] = {}  # matrix key -> element
         self._step: dict[tuple[_Element, str], _Element] = {}
-        self._acc: dict[frozenset, frozenset[str]] = {}  # matrix key -> accepting states
 
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
@@ -613,34 +669,12 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _accepting(self, v: _Matrix, key: frozenset) -> frozenset[str]:
-        """The states with an even-value self-cycle over some power of ``v``, whose key is ``key``.
-
-        The powers are iterated only for a matrix not yet in ``_acc``, and
-        the answer is stored there under the key of each power visited.
-        """
-        acc = self._acc.get(key)
-        if acc is None:
-            power = v
-            seen = set()
-            found: set[str] = set()
-            while key not in seen:
-                seen.add(key)
-                for q, row in power.items():
-                    if any(val % 2 == 0 for val in row.get(q, ())):
-                        found.add(q)
-                power = _mat_mul(power, v)
-                key = _mat_key(power)
-            acc = frozenset(found)
-            self._acc.update(dict.fromkeys(seen, acc))
-        return acc
-
     def _intern(self, v: _Matrix) -> _Element:
         """The element of the period matrix ``v``, made on the matrix's first appearance."""
         key = _mat_key(v)
         element = self._element.get(key)
         if element is None:
-            element = self._element[key] = _Element(v, _reach(v, self._accepting(v, key)))
+            element = self._element[key] = _Element(v, _element_reach(v, self.automaton.states))
         return element
 
     def _new_period(self, period: tuple[str, ...]) -> _Element:

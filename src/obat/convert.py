@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import EPS, Morphism, OrderedBuchiAutomaton, ParityAutomaton, UPWord
+from .automata import EPS, Morphism, OrderedBuchiAutomaton, ParityAutomaton, UPWord, _bits, _transpose
 from .tiles import (
     StateUniverse,
     Tile,
@@ -162,23 +162,6 @@ def _eps_table(a: ParityAutomaton) -> tuple[list[str], dict[int, list[int]]]:
                 table[c] = [0] * len(states)
             table[c][at[p]] |= 1 << at[q]
     return states, table
-
-
-def _bits(mask: int):
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    """Row i of the result holds the states whose rows contain i."""
-    cols = [0] * len(rows)
-    for i, mask in enumerate(rows):
-        for j in _bits(mask):
-            cols[j] |= 1 << i
-    return cols
 
 
 def _runs(levels, first: int, last: int):

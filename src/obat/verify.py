@@ -34,8 +34,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .automata import OrderedBuchiAutomaton, UPWord, _walk_from_initial
-from .convert import _bits
+from .automata import OrderedBuchiAutomaton, UPWord, _bits, _walk_from_initial
 from .tiles import (
     Skeleton,
     StateUniverse,

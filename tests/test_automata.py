@@ -278,7 +278,11 @@ def _with_letter(name) -> OrderedBuchiAutomaton:
     return OrderedBuchiAutomaton(a.universe, a.initial, {"a": a.alphabet["a"], name: a.alphabet["b"]})
 
 
-# one probe per letter, alphabet and record rule of the constructors, with the message it raises
+def _parity(index=(0, 1), transitions=(("q", "a", 0, "q"),)) -> ParityAutomaton:
+    return ParityAutomaton(states=("q",), initial=frozenset({"q"}), index=index, transitions=frozenset(transitions))
+
+
+# one probe per letter, type, alphabet and record rule of the constructors, with the message it raises
 CONSTRUCTION_PROBES = {
     "tile-letter-eps": (lambda: _with_letter(EPS), "tile letter name 'eps' is reserved"),
     "tile-letter-int": (lambda: _with_letter(1), "tile letter names must be strings"),
@@ -291,6 +295,17 @@ CONSTRUCTION_PROBES = {
         "alphabet letters must be strings",
     ),
     "transition-letter-int": (lambda: _single_loop(0, letter=1), "transition letters must be strings"),
+    "index-bound-float": (lambda: _parity(index=(0, 1.0)), "index bounds must be ints"),
+    "index-bound-bool": (lambda: _parity(index=(False, 1)), "index bounds must be ints"),
+    "index-bound-str": (lambda: _parity(index=("0", 1)), "index bounds must be ints"),
+    "transition-priority-float": (lambda: _single_loop(0.0), "transition priorities must be ints"),
+    "transition-priority-bool": (lambda: _single_loop(True), "transition priorities must be ints"),
+    "transition-priority-str": (lambda: _single_loop("0"), "transition priorities must be ints"),
+    "transition-endpoint-int": (
+        lambda: _parity(transitions=[(1, "a", 0, "q"), ("q", "a", 0, "q")]),
+        "transition endpoints must be strings",
+    ),
+    "transition-target-int": (lambda: _parity(transitions=[("q", "a", 0, 1)]), "transition endpoints must be strings"),
     "records-without-universe": (
         lambda: ParityAutomaton(**_det_fields(universe=None)),
         "records and universe must be given together",

@@ -177,6 +177,8 @@ def ref_check_parity(states, initial, index, transitions, deterministic, alphabe
         if EPS in alphabet:
             raise ValidationError(f"alphabet letter {EPS!r} is reserved for ε-transitions")
     lo, hi = index
+    if type(lo) is not int or type(hi) is not int:
+        raise ValidationError("index bounds must be ints")
     if lo > hi:
         raise ValidationError(f"empty priority index [{lo},{hi}]")
     if not all(isinstance(s, str) for s in states):
@@ -189,6 +191,12 @@ def ref_check_parity(states, initial, index, transitions, deterministic, alphabe
     for t in transitions:
         if not isinstance(t[1], str):
             raise ValidationError("transition letters must be strings")
+    for t in transitions:
+        if type(t[2]) is not int:
+            raise ValidationError("transition priorities must be ints")
+    for t in transitions:
+        if not (isinstance(t[0], str) and isinstance(t[3], str)):
+            raise ValidationError("transition endpoints must be strings")
     for (p, a, c, q) in sorted(transitions):
         if p not in stateset or q not in stateset:
             raise ValidationError(f"transition {(p, a, c, q)} uses undeclared state")
@@ -594,10 +602,11 @@ def test_upward_closure_same_tile_or_error():
 
 def test_parity_automaton_same_checks():
     """Random fields, declared alphabets that may miss a transition's letter, and records that may
-    miss or add a state; the alphabets and records come from a second generator, and the record
-    entries and the universe, which may be missing or given alone, from a third, so the other
-    fields are drawn as before they were added."""
-    rng, extra, third = random.Random(99), random.Random(98), random.Random(97)
+    miss or add a state; the alphabets and records come from a second generator, the record
+    entries and the universe, which may be missing or given alone, from a third, and a priority,
+    endpoint or index bound of a wrong type from a fourth, so the other fields are drawn as
+    before they were added."""
+    rng, extra, third, typed = random.Random(99), random.Random(98), random.Random(97), random.Random(96)
     states = ("x", "y", "z")
     faults = {
         "undeclared letter": "letter",
@@ -605,6 +614,9 @@ def test_parity_automaton_same_checks():
         "records omit state": "record-omit",
         "records and universe must be given together": "records-universe",
         "is not a state of the universe": "record-entry",
+        "index bounds must be ints": "index-type",
+        "transition priorities must be ints": "priority-type",
+        "transition endpoints must be strings": "endpoint-type",
     }
     seen = set()
     for _ in range(3000):
@@ -629,6 +641,15 @@ def test_parity_automaton_same_checks():
             }
         if third.random() < (0.9 if "records" in fields else 0.05):
             fields["universe"] = _universe(2)
+        if typed.random() < 0.1:
+            wrong = typed.choice((0.0, True, "0", 1, None))
+            if typed.random() < 0.2:
+                fields["index"] = (wrong, hi) if typed.random() < 0.5 else (lo, wrong)
+            elif transitions:
+                p, x, c, q = typed.choice(sorted(transitions))
+                column = typed.randrange(3)
+                row = ((wrong, x, c, q), (p, x, wrong, q), (p, x, c, wrong))[column]
+                fields["transitions"] = transitions | {row}
         outcome = _same(lambda: ParityAutomaton(**fields), lambda: ref_parity(**fields))
         if outcome[0] == "ok":
             seen.add("ok")

@@ -17,19 +17,24 @@ verdicts, and the same usage errors, on the ε-complete zoo, the ε-completed
 determinizations of the corpus and of two four-state ``rich_oba``, plain and
 intertwined, with the periods asked of one long-lived library oracle twice
 over: in prefix-closed scans in ``equiv_up`` order, and shuffled.
+
+The library finds an element's reach set by threshold reachability, with no
+matrix powers; the last tests hold it to the reference's power loop on every
+matrix ``equiv_up`` interns on those automata and on two five-state
+``rich_oba``, and on seeded random value-set matrices.
 """
 
 import random
 
 import pytest
 
-from obat import EPS, NpaOracle, UsageError, ValidationError, intertwine, up
-from obat.automata import _require_letters
-from obat.verify import enumerate_up_words, finite_words
+from obat import EPS, NpaOracle, UsageError, ValidationError, apply_eps_completion, determinize, intertwine, up
+from obat.automata import _element_reach, _require_letters
+from obat.verify import enumerate_up_words, equiv_up, finite_words
 
 from test_oracle_reference import _fold, _orbit_union, _post
 from test_oracle_walk import _npa_table_cases
-from zoo import make_eps_complete
+from zoo import make_eps_complete, rich_oba
 
 
 # --- the per-period reference ---------------------------------------------------
@@ -60,6 +65,25 @@ def _mat_key(a):
     return frozenset((p, q, vals) for p, row in a.items() for q, vals in row.items())
 
 
+def _power_loop_accepting(v):
+    """The states with an even value on their own cell in some power of ``v``, by iterating
+    the powers until one repeats."""
+    power, seen, found = v, set(), set()
+    key = _mat_key(v)
+    while key not in seen:
+        seen.add(key)
+        found |= {q for q, row in power.items() if any(c % 2 == 0 for c in row.get(q, ()))}
+        power = _mat_mul(power, v)
+        key = _mat_key(power)
+    return frozenset(found)
+
+
+def _power_loop_reach(v, states):
+    """The states whose orbit under ``v`` meets the power loop's accepting states."""
+    acc = _power_loop_accepting(v)
+    return frozenset(q for q in states if _orbit_union(frozenset({q}), lambda s: _post(v, s)) & acc)
+
+
 class RefNpaOracle:
     """UP-word membership by one power loop and one orbit per period."""
 
@@ -82,14 +106,7 @@ class RefNpaOracle:
             v = self._unit
             for x in period:
                 v = _mat_mul(v, self._letter[x])
-            power, seen, found = v, set(), set()
-            key = _mat_key(v)
-            while key not in seen:
-                seen.add(key)
-                found |= {q for q, row in power.items() if any(c % 2 == 0 for c in row.get(q, ()))}
-                power = _mat_mul(power, v)
-                key = _mat_key(power)
-            self._period[period] = (v, frozenset(found))
+            self._period[period] = (v, _power_loop_accepting(v))
         return self._period[period]
 
     def after(self, prefix):
@@ -211,3 +228,78 @@ def test_undeclared_letter_is_a_usage_error():
             npa(w)
         assert _outcome(npa.member, w) == _outcome(RefNpaOracle(a).member, w)
     assert ("b",) not in npa._period and ("a", "b") not in npa._period
+
+
+# --- the reach set against the power loop ---------------------------------------------
+
+
+def _reach_cases():
+    """``_npa_table_cases`` and the ε-completed determinizations of two five-state ``rich_oba``."""
+    yield from _npa_table_cases()
+    rng = random.Random(5)
+    for i in range(2):
+        yield f"rich-5-{i}", apply_eps_completion(determinize(rich_oba(rng, 5)))
+
+
+def test_reach_of_every_matrix_interned_by_equiv():
+    """Each matrix an oracle interns while ``equiv_up`` at 2/3 checks it against the reference:
+    the threshold closures give the reach set of the power loop."""
+    reaches = set()
+    for name, a in _reach_cases():
+        letters = sorted(a.effective_alphabet)
+        lib = NpaOracle(a)
+        assert equiv_up(lib, RefNpaOracle(a), letters, 2, 3) is None, name
+        assert lib._element, name
+        for element in lib._element.values():
+            want = _power_loop_reach(element.matrix, a.states)
+            assert _element_reach(element.matrix, a.states) == want == element.reach, name
+            reaches.add(0 < len(want) < len(a.states) if want else "empty")
+    assert reaches == {True, False, "empty"}
+
+
+def _random_matrix(rng, states, kind):
+    """A value-set matrix over ``states`` with values in 0..5 and cells of random values, or:
+    odd values only; self-loops only; rows for only some states, the others still targets;
+    or odd cells and one cycle whose cells hold odd values above an even c but for one
+    cell, which holds c, so that cell is the only even one."""
+    n = len(states)
+    values = (1, 3, 5) if kind == "odd-only" else range(6)
+    sources = states
+    if kind == "targets-only":  # some states have no row, yet are targets
+        sources = rng.sample(states, rng.randint(0, n - 1))
+    v = {}
+    for p in sources:
+        for q in states:
+            if kind == "self-loops" and p != q:
+                continue
+            if rng.random() < 0.35:
+                v.setdefault(p, {})[q] = frozenset(rng.sample(values, rng.randint(1, 3)))
+    if kind == "one-even-cycle":
+        c = rng.choice((0, 2, 4))
+        cycle = rng.sample(states, rng.randint(1, n))
+        v = {p: {q: vals & {1, 3, 5} for q, vals in row.items() if vals & {1, 3, 5}} for p, row in v.items()}
+        for i, p in enumerate(cycle):
+            q = cycle[(i + 1) % len(cycle)]
+            above = frozenset({c}) if i == 0 else frozenset({rng.choice([x for x in (1, 3, 5) if x > c])})
+            v.setdefault(p, {})[q] = v.get(p, {}).get(q, frozenset()) | above
+    return {p: row for p, row in v.items() if row}
+
+
+@pytest.mark.parametrize("kind", ["any", "odd-only", "self-loops", "targets-only", "one-even-cycle"])
+def test_reach_of_random_matrices(kind):
+    """Seeded value-set matrices over 1 to 8 states, with the states in shuffled order."""
+    rng = random.Random(f"reach-{kind}")
+    reaches = []
+    for _ in range(300):
+        states = [f"s{i}" for i in range(rng.randint(1, 8))]
+        rng.shuffle(states)
+        v = _random_matrix(rng, states, kind)
+        want = _power_loop_reach(v, states)
+        assert _element_reach(v, tuple(states)) == want, (kind, v)
+        reaches.append(len(want))
+    if kind == "odd-only":
+        assert max(reaches) == 0
+    elif kind == "one-even-cycle":  # the cycle's states are accepting
+        assert min(reaches) > 0
+    else:
+        assert min(reaches) == 0 < max(reaches), kind

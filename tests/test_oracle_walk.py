@@ -34,7 +34,7 @@ from obat import (
     up,
 )
 import obat.automata
-from obat.automata import _mat_key, _mat_mul
+from obat.automata import _mat_mul
 from obat.cli import USAGE, main, oba_to_doc
 
 from obat.convert import horizontal_complete_alphabet
@@ -185,10 +185,10 @@ class TestWalkDifferential:
         """5,000 distinct prefixes over seven periods, asked a, b, ab, bba, ba, abb, aa: the
         OBA's period table holds the six periods of one letter or whose one-letter-shorter
         period was asked before them, and bba, whose bb was not, leaves one class table; the
-        NPA's per-period table holds seven, its elements and its per-matrix acceptance table
-        one per distinct matrix among the periods' (six), its step table one per period one
-        letter longer than an earlier one (ab, ba, abb, aa), and its letter tables one per
-        letter; the last 4,000 prefixes add nothing."""
+        NPA's per-period table holds seven, its elements one per distinct matrix among the
+        periods' (six), its step table one per period one letter longer than an earlier one
+        (ab, ba, abb, aa), and its letter tables one per letter; the last 4,000 prefixes add
+        nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
         rng = random.Random(20261020)
@@ -201,7 +201,7 @@ class TestWalkDifferential:
             (DpaOracle(det), {}),
             (
                 NpaOracle(apply_eps_completion(det)),
-                {"_period": 7, "_element": 6, "_step": 4, "_acc": 6, "_letter_mat": 2},
+                {"_period": 7, "_element": 6, "_step": 4, "_letter_mat": 2},
             ),
         ):
             sizes = [_container_sizes(oracle)]
@@ -287,33 +287,32 @@ class TestNpaTables:
 
     @staticmethod
     def _count_products(monkeypatch):
-        """Each ``_mat_mul`` call from here on, as (calling function, right factor)."""
+        """The calling function of each ``_mat_mul`` call from here on."""
         products = []
 
         def counted(a, b):
-            products.append((sys._getframe(1).f_code.co_name, b))
+            products.append(sys._getframe(1).f_code.co_name)
             return _mat_mul(a, b)
 
         monkeypatch.setattr(obat.automata, "_mat_mul", counted)
         return products
 
-    def test_equiv_runs_the_power_loop_once_per_matrix(self, monkeypatch):
-        """One ``equiv_up`` at bounds 2/3 asks 39 periods in prefix-closed scans.  The period
+    def test_equiv_products_come_only_from_letters_and_steps(self, monkeypatch):
+        """One ``equiv_up`` at bounds 2/3 asks 39 periods in prefix-closed scans.  The only
         products are the letters' ε-closure products (two per letter) and one per distinct
-        (element, letter) step, however many periods take that step; each element's powers
-        are iterated at most once, however many periods share it."""
+        (element, letter) step, however many periods take that step: an element's reach set
+        multiplies no matrix."""
         oba, _ = rabin_to_oba(rabin_two_pair())
         det = determinize(oba)
         npa = NpaOracle(apply_eps_completion(det))
         products = self._count_products(monkeypatch)
         assert equiv_up(DpaOracle(det), npa, oba.letters, 2, 3) is None
-        calls = collections.Counter(caller for caller, _ in products)
-        assert set(calls) == {"_letter", "_new_period", "_accepting"}
+        calls = collections.Counter(products)
+        assert set(calls) == {"_letter", "_new_period"}
         assert len(npa._period) == 39
         assert calls["_letter"] == 2 * len(npa._letter_mat) == 6
         assert calls["_new_period"] == len(npa._step) < 39 - 3
-        loops = {id(b): b for caller, b in products if caller == "_accepting"}
-        assert len({_mat_key(v) for v in loops.values()}) == len(loops) <= len(npa._element) < 39
+        assert len(npa._element) < 39
 
     def test_unrelated_periods_add_one_element_and_no_step(self, monkeypatch):
         """A stream of distinct intertwined periods, none one letter longer than an earlier one,
@@ -334,7 +333,7 @@ class TestNpaTables:
             assert len(npa._period) == periods + 1, w
             assert elements <= len(npa._element) <= elements + 1, w
             assert not npa._step, w
-            assert sum(caller == "_new_period" for caller, _ in products) == len(w.period) - 1, w
+            assert products.count("_new_period") == len(w.period) - 1, w
             asked += 1
 
 

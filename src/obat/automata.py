@@ -9,15 +9,20 @@ the determinization.
 
 An oracle folds each query's prefix from its start state with no memo, so a
 long-lived oracle holds nothing per distinct prefix; the caches that grow
-with queries are keyed by period, for ``NpaOracle`` also by a period's
-value-set matrix and by (period element, letter), and for ``ObaOracle`` also
-by a period's class under rotation and power (see each class).  Both step a
-period from its one-letter-shorter period when that has an entry; any other
-period ``NpaOracle`` multiplies out, and ``ObaOracle`` reads off its class.
-Neither forms a period's powers: ``ObaOracle`` reads the single-tile
-ω-power criterion off the period's tile, and ``NpaOracle`` finds the states
-on a closed walk with an even least value c by reachability over the cells
-of the period's matrix that hold a value of at least c, one c at a time.
+with queries are keyed by period.  ``DpaOracle`` and ``NpaOracle`` share one
+period → element map (``_PeriodElements``): a period's element is its
+profile (per state, the least priority read and the end state) or its
+value-set matrix, interned per distinct value with the states it accepts
+from, and a period steps from its one-letter-shorter period's element
+through a table keyed by (element, letter) when that period has an entry,
+or else is multiplied out.  ``ObaOracle`` steps a period's tile the
+same way, and answers any other period from a table per class of periods
+under rotation and power.  None forms a period's powers: ``ObaOracle``
+reads the single-tile ω-power criterion off the period's tile,
+``DpaOracle`` follows each state's cycle in the profile's functional graph,
+and ``NpaOracle`` finds the states on a closed walk with an even least value
+c by reachability over the cells of the period's matrix that hold a value
+of at least c, one c at a time.
 """
 
 from __future__ import annotations
@@ -317,16 +322,17 @@ class ObaOracle:
     iff some q ≤ m has ``is_buchi(t_v, q, q)``, where t_v is the product of
     v's tiles; so a period's answer is the least such q, |Q| for none.
 
-    Two routes reach t_v.  ``_period`` maps a period to its tile and answer.
-    A one-letter period takes its letter's tile, and a longer one whose
-    ``period[:-1]`` has an entry costs one product with its last letter's
-    tile, as :class:`NpaOracle`'s ``_step`` does; both are entered there.
-    So an enumeration that asks periods shortest first, as ``equiv_up`` and
-    ``check_local_preference`` do, steps every period.  Any other period
-    takes the class route, ``_acc``, which holds the answer per conjugacy
-    class of periods and enters nothing in ``_period``.  The key is the
-    least rotation of the period's primitive root, and its value has one
-    entry per position j of the key: the least q for the tile of the
+    Two routes reach t_v.  ``_period`` maps each asked period to its answer
+    and, when it was stepped, its tile.  A one-letter period takes its
+    letter's tile, and a longer one whose ``period[:-1]`` has an entry with
+    a tile costs one product with its last letter's tile, as a step of
+    :class:`NpaOracle` does.  So an enumeration that asks periods shortest
+    first, as ``equiv_up`` and ``check_local_preference`` do, steps every
+    period.  Any other period takes the class route, ``_acc``, which holds
+    the answer per conjugacy class of periods; it is entered with no tile,
+    so a repeat is answered at once and no period steps from it.  The key
+    is the least rotation of the period's primitive root, and its value has
+    one entry per position j of the key: the least q for the tile of the
     rotation key[j:] + key[:j], each built from one pass of prefix products
     and one of suffix products.  A period is a power of the rotation at the
     offset where its root starts in the key, and (w^k)^ω = w^ω, so it answers
@@ -347,7 +353,7 @@ class ObaOracle:
         self._top = {x: tile.top for x, tile in self._tile.items()}
         self._letters = frozenset(self._top)
         self.alphabet = self._letters - {EPS}  # the query letters
-        self._period: dict[tuple[str, ...], tuple[Tile, int]] = {}
+        self._period: dict[tuple[str, ...], tuple[Tile | None, int]] = {}
         self._acc: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def _check_letters(self, word: tuple[str, ...]) -> None:
@@ -367,11 +373,12 @@ class ObaOracle:
             raise UsageError("period must be nonempty")
         tile = self._tile[period[-1]]
         if len(period) > 1:
-            shorter = self._period.get(period[:-1])
-            if shorter is None:
-                return self._class_least_accepting(period)
-            tile = product(shorter[0], tile)
-        least = _least_buchi(tile, self.automaton.universe.size)
+            shorter = self._period.get(period[:-1], (None,))[0]  # only an entry with a tile steps
+            tile = None if shorter is None else product(shorter, tile)
+        if tile is None:
+            least = self._class_least_accepting(period)
+        else:
+            least = _least_buchi(tile, self.automaton.universe.size)
         self._period[period] = (tile, least)
         return least
 
@@ -442,53 +449,168 @@ def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
     return frozenset(reached), kills
 
 
-class DpaOracle:
-    """Direct run simulation for deterministic ε-free parity automata; nothing is cached."""
+# --- period elements, shared by DpaOracle and NpaOracle ----------------------
+
+
+class _Element:
+    """A period element: its value, interned per oracle, and the states from which the
+    period's ω-power is accepted."""
+
+    __slots__ = ("value", "accepting")
+
+    def __init__(self, value, accepting: frozenset):
+        self.value = value
+        self.accepting = accepting
+
+
+class _PeriodElements:
+    """The period → element tables of :class:`DpaOracle` and :class:`NpaOracle`.
+
+    A subclass gives each letter's value (``_letter``), the value of a word
+    from those of two halves (``_mul``), a hashable key that is equal for
+    equal values (``_key``) and the states from which a value's period is
+    accepted (``_accepting``).  ``_period`` maps each queried period to its
+    element, ``_element`` interns one element per distinct value, and
+    ``_step`` maps (element, letter) to the element of their product.  So a
+    period one letter longer than one with an entry costs at most one
+    product, and none when another period with the same element met that
+    letter first; a period with no shorter entry is multiplied out from its
+    first letter and adds no step.
+    """
+
+    def __init__(self):
+        self._period: dict[tuple[str, ...], _Element] = {}
+        self._element: dict = {}  # key of a value -> its element
+        self._step: dict[tuple[_Element, str], _Element] = {}
+
+    def _intern(self, value) -> _Element:
+        """The element of ``value``, made on the value's first appearance."""
+        key = self._key(value)
+        element = self._element.get(key)
+        if element is None:
+            element = self._element[key] = _Element(value, self._accepting(value))
+        return element
+
+    def _new_period(self, period: tuple[str, ...]) -> _Element:
+        """The element of a period without an entry, entered in ``_period``."""
+        shorter = self._period.get(period[:-1])
+        if shorter is None:
+            value = self._letter(period[0])
+            for x in period[1:]:
+                value = self._mul(value, self._letter(x))
+            element = self._intern(value)
+        else:
+            step = (shorter, period[-1])
+            element = self._step.get(step)
+            if element is None:
+                element = self._step[step] = self._intern(self._mul(shorter.value, self._letter(period[-1])))
+        self._period[period] = element
+        return element
+
+
+# a profile: per state index, the sink's last, (least priority read, end state index)
+_Profile = tuple[tuple[int, int], ...]
+
+
+def _profile_mul(a: _Profile, b: _Profile) -> _Profile:
+    """The profile of a word read as ``a``'s word, then ``b``'s."""
+    out = []
+    for c, q in a:
+        hit = b[q]
+        out.append(hit if hit[0] <= c else (c, hit[1]))
+    return tuple(out)
+
+
+def _profile_accepting(profile: _Profile, states: tuple[str, ...]) -> frozenset[str]:
+    """The states whose run on the profile's period, repeated, is accepting.
+
+    Lap after lap, a run follows the profile's functional graph from each
+    state to its end state until it closes a cycle, and it is accepting iff
+    the least priority on that cycle is even.  Each state is walked once: a
+    walk stops at a state already decided and passes its verdict back along
+    its path.
+    """
+    known: list = [None] * len(profile)
+    walked = [-1] * len(profile)  # the start of the walk that last passed each state
+    for start in range(len(profile)):
+        path: list[int] = []
+        i = start
+        while known[i] is None and walked[i] != start:
+            walked[i] = start
+            path.append(i)
+            i = profile[i][1]
+        verdict = known[i]
+        if verdict is None:  # i closes a cycle on this path
+            verdict = min(profile[j][0] for j in path[path.index(i):]) % 2 == 0
+        for j in path:
+            known[j] = verdict
+    return frozenset(p for p, ok in zip(states, known) if ok)
+
+
+class DpaOracle(_PeriodElements):
+    """Exact UP-word membership for deterministic ε-free parity automata.
+
+    ``after(u)`` is the run state after u, None once the run has died.  A
+    period's element is its *profile*: per state, the state where the run
+    from it ends after the period and the least priority read on the way.
+    A run dies in a sink, an extra last state that loops with an odd
+    priority below every other, so every dead run has the same entry and
+    none is accepting.  The run on period^ω follows the profile from lap to
+    lap, so the profile decides every state at once
+    (:func:`_profile_accepting`), and ``accepts(s, v)`` is whether s is
+    among v's accepting states; a dead run, None, never is.  Profiles reach
+    periods through the tables of :class:`_PeriodElements`, one letter at a
+    time, and are interned per distinct profile.
+    """
 
     def __init__(self, d: ParityAutomaton):
         if not d.deterministic:
             raise UsageError("DpaOracle needs a deterministic automaton")
+        super().__init__()
         self.automaton = d
-        self._delta: dict[tuple[str, str], tuple[int, str]] = {}
+        self.alphabet = d.effective_alphabet  # the query letters
+        sink = len(d.states)
+        dead = ((d.index[0] - 2) | 1, sink)  # odd, and below every priority
+        index = {p: i for i, p in enumerate(d.states)}
+        rows = {x: [dead] * (sink + 1) for x in self.alphabet}
         for (p, a, c, q) in d.transitions:
             if a == EPS:
                 raise UsageError("DpaOracle does not handle ε-transitions")
-            self._delta[(p, a)] = (c, q)
-        (self._initial,) = d.initial
-        self.alphabet = d.effective_alphabet  # the query letters
+            rows[a][index[p]] = (c, index[q])
+        self._profile = {x: tuple(row) for x, row in rows.items()}  # letter -> its profile
+        (initial,) = d.initial
+        self._initial = index[initial]
+
+    def _letter(self, x: str) -> _Profile:
+        return self._profile[x]
+
+    _mul = staticmethod(_profile_mul)
+
+    @staticmethod
+    def _key(profile: _Profile) -> _Profile:
+        return profile  # a tuple of pairs of ints: hashable as it is
+
+    def _accepting(self, profile: _Profile) -> frozenset[str]:
+        return _profile_accepting(profile, self.automaton.states)
 
     def after(self, prefix: tuple[str, ...]) -> str | None:
         """The run state after ``prefix``; None once the run has died."""
         _require_letters(self.alphabet, prefix)
-        state = self._initial
+        i = self._initial
         for letter in prefix:
-            hit = self._delta.get((state, letter))  # a dead run (None) has no successor
-            if hit is None:
-                return None
-            state = hit[1]
-        return state
+            i = self._profile[letter][i][1]
+        states = self.automaton.states
+        return states[i] if i < len(states) else None  # the sink: the run has died
 
     def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         """Whether the run from ``state`` on period^ω is accepting."""
-        _require_letters(self.alphabet, period)
-        if not period:
-            raise UsageError("period must be nonempty")
-        if state is None:
-            return False
-        seen: dict[str, int] = {state: 0}
-        mins: list[int] = []
-        while True:
-            lap_min = None
-            for letter in period:
-                hit = self._delta.get((state, letter))
-                if hit is None:
-                    return False
-                c, state = hit
-                lap_min = c if lap_min is None else min(lap_min, c)
-            mins.append(lap_min)
-            if state in seen:
-                return min(mins[seen[state]:]) % 2 == 0
-            seen[state] = len(mins)
+        element = self._period.get(period)
+        if element is None:  # a period with an entry passed both checks when it was entered
+            _require_letters(self.alphabet, period)
+            if not period:
+                raise UsageError("period must be nonempty")
+            element = self._new_period(period)
+        return state in element.accepting
 
     def member(self, w: UPWord) -> bool:
         """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""
@@ -593,17 +715,7 @@ def _element_reach(v: _Matrix, states: tuple[str, ...]) -> frozenset[str]:
     return frozenset(p for p, row in zip(states, _closure(rows)) if row & accepting)
 
 
-class _Element:
-    """A period element: an ε-closed value-set matrix, interned per oracle, and its reach set."""
-
-    __slots__ = ("matrix", "reach")
-
-    def __init__(self, matrix: _Matrix, reach: frozenset):
-        self.matrix = matrix
-        self.reach = reach
-
-
-class NpaOracle:
+class NpaOracle(_PeriodElements):
     """Exact UP-word membership for parity automata with ε-transitions.
 
     The language is the one over the ε-free alphabet: runs may take finitely
@@ -618,26 +730,23 @@ class NpaOracle:
     state's successors.  A period's value-set matrix collects every
     least-priority value achievable between two states.
 
-    A queried period maps to its *element*: the matrix, interned per
-    distinct matrix (``_element``, keyed by :func:`_mat_key`), and its reach
-    set, the states from which the matrix's graph reaches an accepting state.
-    The states reachable from a start set S over whole periods are exactly
-    those of that graph reachable from S, so ``accepts(S, v)`` is whether S
-    meets v's reach set.  A state is accepting when a closed walk through it
+    A queried period maps to its *element* through the tables of
+    :class:`_PeriodElements`: the ε-closed matrix, interned per distinct
+    matrix (keyed by :func:`_mat_key`), and its accepting set, the states
+    from which the matrix's graph reaches an accepting state.  The states
+    reachable from a start set S over whole periods are exactly those of
+    that graph reachable from S, so ``accepts(S, v)`` is whether S meets
+    v's accepting set.  A state is accepting when a closed walk through it
     over whole periods has an even least value c; such a walk reads one cell
     at c and every other cell at a value of at least c, so
     :func:`_element_reach` finds the accepting states by one reachability
     closure per even value of the matrix, on bitmask rows, and never forms
-    the matrix's powers.  Matrix products are the costly part, and three
-    tables save them.  ``_period`` maps each queried period to its element.
-    ``_step`` maps (element, letter) to the element of their product, so a
-    period one letter longer than one with an entry costs at most one
-    product, and none when another period with the same element met that
-    letter first; a period with no shorter entry is multiplied out and adds
-    no step.  ``_letter_mat`` holds one ε-closed matrix per letter.
+    the matrix's powers.  Matrix products are the costly part, and the step
+    table saves them.  ``_letter_mat`` holds one ε-closed matrix per letter.
     """
 
     def __init__(self, a: ParityAutomaton):
+        super().__init__()
         self.automaton = a
         self._rel: dict[str, _Matrix] = {}
         for (p, x, c, q) in a.transitions:
@@ -650,9 +759,6 @@ class NpaOracle:
         self._eclosure = self._compute_eclosure()
         # per letter, built on first use and bounded by the alphabet
         self._letter_mat: dict[str, _Matrix] = {}
-        self._period: dict[tuple[str, ...], _Element] = {}
-        self._element: dict[frozenset, _Element] = {}  # matrix key -> element
-        self._step: dict[tuple[_Element, str], _Element] = {}
 
     def _compute_eclosure(self) -> _Matrix:
         eps = self._rel.get(EPS, {})
@@ -669,29 +775,11 @@ class NpaOracle:
             self._letter_mat[x] = _mat_mul(_mat_mul(self._eclosure, rel), self._eclosure)
         return self._letter_mat[x]
 
-    def _intern(self, v: _Matrix) -> _Element:
-        """The element of the period matrix ``v``, made on the matrix's first appearance."""
-        key = _mat_key(v)
-        element = self._element.get(key)
-        if element is None:
-            element = self._element[key] = _Element(v, _element_reach(v, self.automaton.states))
-        return element
+    _mul = staticmethod(_mat_mul)
+    _key = staticmethod(_mat_key)
 
-    def _new_period(self, period: tuple[str, ...]) -> _Element:
-        """The element of a period without an entry, entered in ``_period``."""
-        shorter = self._period.get(period[:-1])
-        if shorter is None:
-            v = self._letter(period[0])
-            for x in period[1:]:
-                v = _mat_mul(v, self._letter(x))
-            element = self._intern(v)
-        else:
-            step = (shorter, period[-1])
-            element = self._step.get(step)
-            if element is None:
-                element = self._step[step] = self._intern(_mat_mul(shorter.matrix, self._letter(period[-1])))
-        self._period[period] = element
-        return element
+    def _accepting(self, v: _Matrix) -> frozenset[str]:
+        return _element_reach(v, self.automaton.states)
 
     def after(self, prefix: tuple[str, ...]) -> frozenset[str]:
         """The start set of the period: the states reachable after ``prefix``."""
@@ -706,7 +794,7 @@ class NpaOracle:
             if all(x == EPS for x in period):
                 raise UsageError("period must contain a non-ε letter")
             element = self._new_period(period)
-        return not state.isdisjoint(element.reach)
+        return not state.isdisjoint(element.accepting)
 
     def member(self, w: UPWord) -> bool:
         """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""

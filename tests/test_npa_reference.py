@@ -196,7 +196,7 @@ def test_scans_then_shuffled_order():
 
 def test_steps_between_elements_match_the_reference_matrices():
     """Every step ends at the element of the product, equal matrices share one element, and
-    an element's reach set holds exactly the states whose orbit meets the accepting states."""
+    an element's accepting set holds exactly the states whose orbit meets the accepting states."""
     for name, a in _npa_table_cases():
         letters = sorted(a.effective_alphabet)
         ref, lib = RefNpaOracle(a), NpaOracle(a)
@@ -204,12 +204,12 @@ def test_steps_between_elements_match_the_reference_matrices():
             lib.member(w)
         for period, element in lib._period.items():
             v, acc = ref._entry(period)
-            assert _mat_key(element.matrix) == _mat_key(v), (name, period)
+            assert _mat_key(element.value) == _mat_key(v), (name, period)
             assert element is lib._element[_mat_key(v)], (name, period)
             orbit_meets = {q for q in a.states if _orbit_union(frozenset({q}), lambda s: _post(v, s)) & acc}
-            assert element.reach == orbit_meets, (name, period)
+            assert element.accepting == orbit_meets, (name, period)
         for (element, x), target in lib._step.items():
-            assert _mat_key(_mat_mul(element.matrix, ref._letter[x])) == _mat_key(target.matrix), (name, x)
+            assert _mat_key(_mat_mul(element.value, ref._letter[x])) == _mat_key(target.value), (name, x)
 
 
 def test_undeclared_letter_is_a_usage_error():
@@ -251,8 +251,8 @@ def test_reach_of_every_matrix_interned_by_equiv():
         assert equiv_up(lib, RefNpaOracle(a), letters, 2, 3) is None, name
         assert lib._element, name
         for element in lib._element.values():
-            want = _power_loop_reach(element.matrix, a.states)
-            assert _element_reach(element.matrix, a.states) == want == element.reach, name
+            want = _power_loop_reach(element.value, a.states)
+            assert _element_reach(element.value, a.states) == want == element.accepting, name
             reaches.add(0 < len(want) < len(a.states) if want else "empty")
     assert reaches == {True, False, "empty"}
 

@@ -19,11 +19,20 @@ long words of the figures.  The same runs check ``accepts(m, v)`` against
 accepted, to |Q| - 1.
 
 The library steps a period from its one-letter-shorter period when that has
-an entry, and otherwise fills one table per class of periods under rotation
-and power and reads the period's answer from it; ``per_period_least_accepting``
-runs the SCC search once per period, and every period up to five letters,
-asked shortest first and in shuffled order, must get the same answer from
-both.
+an entry holding a tile, and otherwise fills one table per class of periods
+under rotation and power, reads the period's answer from it and enters that
+answer with no tile; ``per_period_least_accepting`` runs the SCC search once
+per period, and every period up to five letters, asked shortest first and
+in shuffled order, must get the same answer from both.
+
+``DpaOracle`` is checked against ``RefDpaOracle``, the lap loop it ran
+before it had period elements: the run from one state, one lap of the
+period at a time, until a lap ends where an earlier one did.  The library
+decides every state at once from the period's interned profile, stepped one
+letter at a time or multiplied out.  Both must agree from every state, and
+from a dead run (None), on every period up to four letters, asked shortest
+first and in shuffled order, and on one 2,000-letter period, and raise the
+same usage errors.
 """
 
 import dataclasses
@@ -33,12 +42,15 @@ import random
 import pytest
 
 from obat import (
+    DpaOracle,
     Morphism,
     ObaOracle,
     OrderedBuchiAutomaton,
+    ParityAutomaton,
     StateUniverse,
     UsageError,
     ValidationError,
+    determinize,
     omega_power_accepts,
     product,
     up,
@@ -57,6 +69,7 @@ from zoo import (
     rabin_behavioral_two_pair,
     rabin_two_pair,
     random_oba,
+    rich_oba,
 )
 
 
@@ -365,9 +378,10 @@ def _class_key(v):
 
 def _check_class_tables(name, a, rng, max_period=5):
     """Every period up to ``max_period`` letters, in shuffled order, gets the per-period
-    answer.  A period is stepped, and entered in the period table, when it has one letter
-    or its one-letter-shorter period was entered before it; every other period leaves the
-    table of its class, keyed by the least rotation of its primitive root."""
+    answer and an entry in the period table.  A period is stepped, and its entry holds its
+    tile, when it has one letter or its one-letter-shorter period was stepped before it;
+    every other period leaves the table of its class, keyed by the least rotation of its
+    primitive root, and an entry with no tile."""
     oracle = ObaOracle(a)
     periods = list(finite_words(sorted(a.alphabet), max_period, min_len=1))
     rng.shuffle(periods)
@@ -376,7 +390,8 @@ def _check_class_tables(name, a, rng, max_period=5):
         assert oracle._least_accepting(v) == per_period_least_accepting(oracle, v), (name, v)
         if len(v) == 1 or v[:-1] in stepped:
             stepped.add(v)
-    assert set(oracle._period) == stepped, name
+    assert set(oracle._period) == set(periods), name
+    assert {v for v, (tile, _) in oracle._period.items() if tile is not None} == stepped, name
     assert set(oracle._acc) == {_class_key(v) for v in periods if v not in stepped}, name
     return len(periods)
 
@@ -434,10 +449,164 @@ def test_stepped_and_class_routes_agree():
                 least, verdicts = want[v]
                 assert oracle._least_accepting(v) == least, (name, v, shuffled)
                 assert [oracle.accepts(m, v) for m in range(-1, n)] == verdicts, (name, v, shuffled)
+            assert set(oracle._period) == set(periods), name
+            tiles = sum(tile is not None for tile, _ in oracle._period.values())
             if not shuffled:
-                assert set(oracle._period) == set(periods) and not oracle._acc, name
+                assert tiles == len(periods) and not oracle._acc, name
             else:
-                stepped += len(oracle._period)
-                classed += len(periods) - len(oracle._period)
+                stepped += tiles
+                classed += len(periods) - tiles
     assert sizes >= {1, 2, 3, 4, 5, 6}
     assert stepped > 1000 and classed > 1000
+
+
+# --- the DPA lap loop -----------------------------------------------------------------
+
+
+class RefDpaOracle:
+    """Direct run simulation of a deterministic ε-free parity automaton; nothing is cached."""
+
+    def __init__(self, d):
+        self._delta = {(p, a): (c, q) for (p, a, c, q) in d.transitions}
+        (self._initial,) = d.initial
+        self.alphabet = d.effective_alphabet
+
+    def after(self, prefix):
+        _require_letters(self.alphabet, prefix)
+        state = self._initial
+        for letter in prefix:
+            hit = self._delta.get((state, letter))
+            if hit is None:
+                return None
+            state = hit[1]
+        return state
+
+    def accepts(self, state, period):
+        _require_letters(self.alphabet, period)
+        if not period:
+            raise UsageError("period must be nonempty")
+        if state is None:
+            return False
+        seen = {state: 0}
+        mins = []
+        while True:
+            lap_min = None
+            for letter in period:
+                hit = self._delta.get((state, letter))
+                if hit is None:
+                    return False
+                c, state = hit
+                lap_min = c if lap_min is None else min(lap_min, c)
+            mins.append(lap_min)
+            if state in seen:
+                return min(mins[seen[state]:]) % 2 == 0
+            seen[state] = len(mins)
+
+    def member(self, w):
+        return self.accepts(self.after(w.prefix), w.period)
+
+
+def random_partial_dpa(rng, max_states=6):
+    """A deterministic parity automaton with a transition on about two thirds of the (state,
+    letter) pairs, so that runs die, and a declared alphabet, so that a letter may have none."""
+    n = rng.randint(1, max_states)
+    states = tuple(f"d{i}" for i in range(n))
+    letters = "abc"[: rng.randint(1, 3)]
+    lo = rng.randint(-1, 1)
+    hi = lo + rng.randint(0, 4)
+    transitions = frozenset(
+        (p, x, rng.randint(lo, hi), rng.choice(states)) for p in states for x in letters if rng.random() < 0.7
+    )
+    return ParityAutomaton(
+        states=states,
+        initial=frozenset({rng.choice(states)}),
+        index=(lo, hi),
+        transitions=transitions,
+        deterministic=True,
+        alphabet=frozenset(letters),
+    )
+
+
+def _dpa_cases():
+    """The determinizations of the 54-automaton corpus (the zoo's figures and Rabin
+    conversion among them) and of three ``rich_oba`` each at n = 4 and 5, then seeded random
+    partial DPAs with up to six states."""
+    for name, a in determinization_corpus():
+        yield name, determinize(a)
+    rng = random.Random(20261110)
+    for n in (4, 5):
+        for i in range(3):
+            yield f"rich-{n}-{i}", determinize(rich_oba(rng, n))
+    for i in range(80):
+        yield f"partial-{i}", random_partial_dpa(rng)
+
+
+def _check_dpa(name, d, periods, rng):
+    """``DpaOracle`` equals the lap loop from every state and from None on ``periods``, asked in
+    the given order of one oracle and in shuffled order of another; returns the verdicts."""
+    ref = RefDpaOracle(d)
+    verdicts = set()
+    for order in (periods, rng.sample(periods, len(periods))):
+        lib = DpaOracle(d)
+        for v in order:
+            for state in (*d.states, None):
+                want = ref.accepts(state, v)
+                verdicts.add(want)
+                assert lib.accepts(state, v) == want, (name, v, state)
+            assert not lib.accepts("no-such-state", v), (name, v)
+    return verdicts
+
+
+def test_dpa_agrees_with_the_lap_loop():
+    rng = random.Random(20261111)
+    verdicts, dead, stepped = set(), 0, 0
+    for name, d in _dpa_cases():
+        letters = sorted(d.effective_alphabet)
+        periods = list(finite_words(letters, 4, min_len=1))
+        verdicts |= _check_dpa(name, d, periods, rng)
+        lib = DpaOracle(d)
+        for v in periods:
+            lib.accepts(None, v)
+        stepped += len(lib._step)
+        dead += any(RefDpaOracle(d).after(v) is None for v in periods)
+        ref = RefDpaOracle(d)
+        for _ in range(20):
+            w = _random_word(rng, letters, 12, 4)
+            assert lib.after(w.prefix) == ref.after(w.prefix), (name, w)
+            assert lib.member(w) == ref.member(w), (name, w)
+    assert verdicts == {True, False}
+    assert dead > 50 and stepped > 1000
+
+
+def test_dpa_long_period():
+    """One 2,000-letter period from every state of each figure's determinization and of a
+    random partial DPA, stepped letter by letter and multiplied out."""
+    rng = random.Random(20261112)
+    cases = [(make.__name__, determinize(make())) for make in (fig_inf_aa_fin_bb, fig_inf_b_or_bb_inf_a)]
+    cases.append(("partial", random_partial_dpa(rng)))
+    verdicts = set()
+    for name, d in cases:
+        letters = sorted(d.effective_alphabet)
+        period = tuple(rng.choices(letters, k=2000))
+        verdicts |= _check_dpa(name, d, [period], rng)
+        stepped = DpaOracle(d)
+        for k in range(1, len(period) + 1):
+            stepped.accepts(None, period[:k])
+        ref = RefDpaOracle(d)
+        for state in (*d.states, None):
+            assert stepped.accepts(state, period) == ref.accepts(state, period), (name, state)
+    assert verdicts == {True, False}
+
+
+def test_dpa_usage_errors():
+    """An unknown letter in the prefix or the period, and an empty period, raise the lap
+    loop's usage errors, from every state; the oracle still answers afterwards."""
+    d = determinize(fig_inf_aa_fin_bb())
+    lib, ref = DpaOracle(d), RefDpaOracle(d)
+    for state in (*d.states, None):
+        for period, message in [(("a", "z"), "unknown letter 'z'"), ((), "period must be nonempty")]:
+            assert _outcome(lib.accepts, state, period) == ("usage", message), (state, period)
+            assert _outcome(ref.accepts, state, period) == ("usage", message), (state, period)
+    for w in [up("az", "a"), up("a", "zb"), up("zy", "x")]:
+        assert _outcome(lib.member, w) == _outcome(ref.member, w) == ("usage", "unknown letter 'z'"), w
+    assert lib.accepts(lib.after(("a",)), ("a",))

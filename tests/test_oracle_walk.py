@@ -182,12 +182,12 @@ class TestWalkDifferential:
                 assert npa(intertwine(w)) == want, (name, w)
 
     def test_state_grows_only_with_distinct_periods(self):
-        """5,000 distinct prefixes over seven periods, asked a, b, ab, bba, ba, abb, aa: the
-        OBA's period table holds the six periods of one letter or whose one-letter-shorter
-        period was asked before them, and bba, whose bb was not, leaves one class table; the
-        NPA's per-period table holds seven, its elements one per distinct matrix among the
-        periods' (six), its step table one per period one letter longer than an earlier one
-        (ab, ba, abb, aa), and its letter tables one per letter; the last 4,000 prefixes add
+        """5,000 distinct prefixes over seven periods, asked a, b, ab, bba, ba, abb, aa.  Each
+        oracle's per-period table holds the seven.  The OBA's bba, whose bb was not asked,
+        leaves one class table and is entered with no tile.  The DPA's and the NPA's elements
+        are one per distinct profile (seven) or matrix (six) among the periods', and their
+        step tables hold one step per period one letter longer than an earlier one (ab, ba,
+        abb, aa); the NPA adds one letter table per letter.  The last 4,000 prefixes add
         nothing."""
         a = fig_inf_aa_fin_bb()
         det = determinize(a)
@@ -197,8 +197,8 @@ class TestWalkDifferential:
             prefixes.add(tuple(rng.choices("ab", k=rng.randint(0, 40))))
         periods = [("a",), ("b",), ("a", "b"), ("b", "b", "a"), ("b", "a"), ("a", "b", "b"), ("a", "a")]
         for oracle, grown in (
-            (ObaOracle(a), {"_period": 6, "_acc": 1}),
-            (DpaOracle(det), {}),
+            (ObaOracle(a), {"_period": 7, "_acc": 1}),
+            (DpaOracle(det), {"_period": 7, "_element": 7, "_step": 4}),
             (
                 NpaOracle(apply_eps_completion(det)),
                 {"_period": 7, "_element": 6, "_step": 4, "_letter_mat": 2},
@@ -214,14 +214,26 @@ class TestWalkDifferential:
             assert sizes[1] == sizes[2], name
             assert {k: n for k, n in sizes[2].items() if n != sizes[0][k]} == grown, name
 
-    def test_equiv_searches_once_per_class(self):
+    def test_equiv_steps_every_period(self):
         """One ``equiv_up`` over three letters at bounds 2/3 asks all 39 periods of each prefix
-        state shortest first, so each period steps from its one-letter-shorter period: one
-        period entry each, and no class table."""
+        state shortest first, so each oracle steps every period longer than one letter from
+        its one-letter-shorter period: the OBA's entries all hold a tile and it builds no
+        class table, and the DPA's and the NPA's step tables hold each such period's
+        element."""
         oba, _ = rabin_to_oba(rabin_two_pair())
-        oracle = ObaOracle(oba)
-        assert equiv_up(oracle, DpaOracle(determinize(oba)), oba.letters, 2, 3) is None
+        det = determinize(oba)
+        oracle, npa = ObaOracle(oba), NpaOracle(apply_eps_completion(det))
+        dpas = DpaOracle(det), DpaOracle(det)
+        assert equiv_up(oracle, dpas[0], oba.letters, 2, 3) is None
+        assert equiv_up(npa, dpas[1], oba.letters, 2, 3) is None
         assert len(oracle._period) == 39 and not oracle._acc
+        assert all(tile is not None for tile, _ in oracle._period.values())
+        for stepped in (*dpas, npa):
+            name = type(stepped).__name__
+            assert len(stepped._period) == 39, name
+            for v, element in stepped._period.items():
+                if len(v) > 1:
+                    assert stepped._step[stepped._period[v[:-1]], v[-1]] is element, (name, v)
 
 
 def _npa_table_cases():
@@ -287,7 +299,8 @@ class TestNpaTables:
 
     @staticmethod
     def _count_products(monkeypatch):
-        """The calling function of each ``_mat_mul`` call from here on."""
+        """The calling function of each matrix product from here on: ``_mat_mul``, and the
+        ``_mul`` through which a period's element takes its products."""
         products = []
 
         def counted(a, b):
@@ -295,6 +308,7 @@ class TestNpaTables:
             return _mat_mul(a, b)
 
         monkeypatch.setattr(obat.automata, "_mat_mul", counted)
+        monkeypatch.setattr(NpaOracle, "_mul", staticmethod(counted))
         return products
 
     def test_equiv_products_come_only_from_letters_and_steps(self, monkeypatch):

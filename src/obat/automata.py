@@ -12,17 +12,17 @@ long-lived oracle holds nothing per distinct prefix; the caches that grow
 with queries are keyed by period.  ``DpaOracle`` and ``NpaOracle`` share one
 period → element map (``_PeriodElements``): a period's element is its
 profile (per state, the least priority read and the end state) or its
-value-set matrix, interned per distinct value with the states it accepts
-from, and a period steps from its one-letter-shorter period's element
-through a table keyed by (element, letter) when that period has an entry,
-or else is multiplied out.  ``ObaOracle`` steps a period's tile the
-same way, and answers any other period from a table per class of periods
-under rotation and power.  None forms a period's powers: ``ObaOracle``
-reads the single-tile ω-power criterion off the period's tile,
-``DpaOracle`` follows each state's cycle in the profile's functional graph,
-and ``NpaOracle`` finds the states on a closed walk with an even least value
-c by reachability over the cells of the period's matrix that hold a value
-of at least c, one c at a time.
+value-set matrix, interned per distinct value, and a period steps from its
+one-letter-shorter period's element through a table keyed by (element,
+letter) when that period has an entry, or else is multiplied out.
+``ObaOracle`` steps a period's tile the same way, and answers any other
+period from a table per class of periods under rotation and power.  None
+forms a period's powers: ``ObaOracle`` reads the single-tile ω-power
+criterion off the period's tile, ``DpaOracle`` follows the asked state's
+run through the profile's functional graph until it closes a cycle, and
+``NpaOracle`` finds the states on a closed walk with an even least value c
+by reachability over the cells of the period's matrix that hold a value of
+at least c, one c at a time.
 """
 
 from __future__ import annotations
@@ -309,6 +309,14 @@ def _require_letters(letters: frozenset, word: tuple[str, ...]) -> None:
         raise UsageError(f"unknown letter {next(x for x in word if x not in letters)!r}")
 
 
+def _check_period(letters: frozenset, period: tuple[str, ...]) -> None:
+    """Raise a usage error for a period no oracle answers: empty, or only ε when ε is a letter."""
+    if not period:
+        raise UsageError("period must be nonempty")
+    if EPS in letters and all(x == EPS for x in period):
+        raise UsageError("period must contain a non-ε letter")
+
+
 class ObaOracle:
     """Exact UP-word membership for an ordered Büchi automaton.
 
@@ -369,8 +377,7 @@ class ObaOracle:
         if entry is not None:  # a period with an entry passed both checks when it was entered
             return entry[1]
         self._check_letters(period)
-        if not period:
-            raise UsageError("period must be nonempty")
+        _check_period(self._letters, period)
         tile = self._tile[period[-1]]
         if len(period) > 1:
             shorter = self._period.get(period[:-1], (None,))[0]  # only an entry with a tile steps
@@ -453,8 +460,8 @@ def _walk_from_initial(a: OrderedBuchiAutomaton) -> tuple[frozenset[int], bool]:
 
 
 class _Element:
-    """A period element: its value, interned per oracle, and the states from which the
-    period's ω-power is accepted."""
+    """A period element: its value, interned per oracle, and where the period's ω-power is accepted:
+    the set of states (:class:`NpaOracle`), or per state index its verdict once asked (:class:`DpaOracle`)."""
 
     __slots__ = ("value", "accepting")
 
@@ -466,16 +473,17 @@ class _Element:
 class _PeriodElements:
     """The period → element tables of :class:`DpaOracle` and :class:`NpaOracle`.
 
-    A subclass gives each letter's value (``_letter``), the value of a word
-    from those of two halves (``_mul``), a hashable key that is equal for
-    equal values (``_key``) and the states from which a value's period is
-    accepted (``_accepting``).  ``_period`` maps each queried period to its
-    element, ``_element`` interns one element per distinct value, and
-    ``_step`` maps (element, letter) to the element of their product.  So a
-    period one letter longer than one with an entry costs at most one
-    product, and none when another period with the same element met that
-    letter first; a period with no shorter entry is multiplied out from its
-    first letter and adds no step.
+    A subclass gives its query letters (``_letters``), each letter's value
+    (``_letter``), the value of a word from those of two halves (``_mul``),
+    a hashable key that is equal for equal values (``_key``) and a new
+    element's ``accepting`` (``_accepting``).  ``_period`` maps each queried
+    period to its element, ``_element`` interns one element per distinct
+    value, and ``_step`` maps (element, letter) to the element of their
+    product.  So a period one letter longer than one with an entry costs at
+    most one product, and none when another period with the same element
+    met that letter first; a period with no shorter entry is multiplied out
+    from its first letter and adds no step.  ``_element_of`` is the one
+    lookup: a period gets an entry only once its letters and shape pass.
     """
 
     def __init__(self):
@@ -489,6 +497,15 @@ class _PeriodElements:
         element = self._element.get(key)
         if element is None:
             element = self._element[key] = _Element(value, self._accepting(value))
+        return element
+
+    def _element_of(self, period: tuple[str, ...]) -> _Element:
+        """The period's element; a period without an entry is checked first, then entered."""
+        element = self._period.get(period)
+        if element is None:  # a period with an entry passed both checks when it was entered
+            _require_letters(self._letters, period)
+            _check_period(self._letters, period)
+            element = self._new_period(period)
         return element
 
     def _new_period(self, period: tuple[str, ...]) -> _Element:
@@ -521,30 +538,17 @@ def _profile_mul(a: _Profile, b: _Profile) -> _Profile:
     return tuple(out)
 
 
-def _profile_accepting(profile: _Profile, states: tuple[str, ...]) -> frozenset[str]:
-    """The states whose run on the profile's period, repeated, is accepting.
-
-    Lap after lap, a run follows the profile's functional graph from each
-    state to its end state until it closes a cycle, and it is accepting iff
-    the least priority on that cycle is even.  Each state is walked once: a
-    walk stops at a state already decided and passes its verdict back along
-    its path.
-    """
-    known: list = [None] * len(profile)
-    walked = [-1] * len(profile)  # the start of the walk that last passed each state
-    for start in range(len(profile)):
-        path: list[int] = []
-        i = start
-        while known[i] is None and walked[i] != start:
-            walked[i] = start
-            path.append(i)
-            i = profile[i][1]
-        verdict = known[i]
-        if verdict is None:  # i closes a cycle on this path
-            verdict = min(profile[j][0] for j in path[path.index(i):]) % 2 == 0
-        for j in path:
-            known[j] = verdict
-    return frozenset(p for p, ok in zip(states, known) if ok)
+def _profile_verdict(profile: _Profile, i: int) -> bool:
+    """Whether the run from state index ``i`` on the profile's period, repeated, is accepting:
+    lap after lap it follows the profile's functional graph until it closes a cycle, and it is
+    accepting iff the least priority on that cycle is even."""
+    lap: dict[int, int] = {}  # state index -> the lap that started there
+    least: list[int] = []  # per lap, the least priority read
+    while i not in lap:
+        lap[i] = len(least)
+        c, i = profile[i]
+        least.append(c)
+    return min(least[lap[i]:]) % 2 == 0  # the cycle's laps: from the one that started at i on
 
 
 class DpaOracle(_PeriodElements):
@@ -556,9 +560,10 @@ class DpaOracle(_PeriodElements):
     A run dies in a sink, an extra last state that loops with an odd
     priority below every other, so every dead run has the same entry and
     none is accepting.  The run on period^ω follows the profile from lap to
-    lap, so the profile decides every state at once
-    (:func:`_profile_accepting`), and ``accepts(s, v)`` is whether s is
-    among v's accepting states; a dead run, None, never is.  Profiles reach
+    lap, so ``accepts(s, v)`` walks s through v's profile until the run
+    closes a cycle (:func:`_profile_verdict`), the first time s is asked, and
+    keeps the verdict on the element under s's index.  A dead run, None, and
+    any name that is not a state are asked at the sink.  Profiles reach
     periods through the tables of :class:`_PeriodElements`, one letter at a
     time, and are interned per distinct profile.
     """
@@ -568,10 +573,10 @@ class DpaOracle(_PeriodElements):
             raise UsageError("DpaOracle needs a deterministic automaton")
         super().__init__()
         self.automaton = d
-        self.alphabet = d.effective_alphabet  # the query letters
-        sink = len(d.states)
+        self.alphabet = self._letters = d.effective_alphabet  # the query letters
+        self._sink = sink = len(d.states)
         dead = ((d.index[0] - 2) | 1, sink)  # odd, and below every priority
-        index = {p: i for i, p in enumerate(d.states)}
+        self._index = index = {p: i for i, p in enumerate(d.states)}
         rows = {x: [dead] * (sink + 1) for x in self.alphabet}
         for (p, a, c, q) in d.transitions:
             if a == EPS:
@@ -590,8 +595,9 @@ class DpaOracle(_PeriodElements):
     def _key(profile: _Profile) -> _Profile:
         return profile  # a tuple of pairs of ints: hashable as it is
 
-    def _accepting(self, profile: _Profile) -> frozenset[str]:
-        return _profile_accepting(profile, self.automaton.states)
+    @staticmethod
+    def _accepting(profile: _Profile) -> list[bool | None]:
+        return [None] * len(profile)  # a verdict per state index, filled as states are asked
 
     def after(self, prefix: tuple[str, ...]) -> str | None:
         """The run state after ``prefix``; None once the run has died."""
@@ -604,13 +610,12 @@ class DpaOracle(_PeriodElements):
 
     def accepts(self, state: str | None, period: tuple[str, ...]) -> bool:
         """Whether the run from ``state`` on period^ω is accepting."""
-        element = self._period.get(period)
-        if element is None:  # a period with an entry passed both checks when it was entered
-            _require_letters(self.alphabet, period)
-            if not period:
-                raise UsageError("period must be nonempty")
-            element = self._new_period(period)
-        return state in element.accepting
+        element = self._element_of(period)
+        i = self._index.get(state, self._sink)  # a dead run, or no state at all, is at the sink
+        verdict = element.accepting[i]
+        if verdict is None:
+            verdict = element.accepting[i] = _profile_verdict(element.value, i)
+        return verdict
 
     def member(self, w: UPWord) -> bool:
         """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""
@@ -788,13 +793,7 @@ class NpaOracle(_PeriodElements):
 
     def accepts(self, state: frozenset[str], period: tuple[str, ...]) -> bool:
         """Whether period^ω is accepted from the state set ``state``."""
-        element = self._period.get(period)
-        if element is None:  # a period with an entry passed both checks when it was entered
-            _require_letters(self._letters, period)
-            if all(x == EPS for x in period):
-                raise UsageError("period must contain a non-ε letter")
-            element = self._new_period(period)
-        return not state.isdisjoint(element.accepting)
+        return not state.isdisjoint(self._element_of(period).accepting)
 
     def member(self, w: UPWord) -> bool:
         """``accepts(after(w.prefix), w.period)``: the prefix's letters are checked first."""

@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 from contextlib import suppress
+from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -465,9 +466,12 @@ def cmd_member(args) -> int:
 
 
 def cmd_determinize(args) -> int:
-    kind, automaton, _ = load_document(args.file)
+    kind, automaton, morphism = load_document(args.file)
     if kind != "ordered-buchi":
         raise UsageError("determinize expects an ordered Büchi automaton")
+    if morphism is not None:  # over the document's letters, several of which may share a tile
+        tiles = automaton.alphabet
+        automaton = replace(automaton, alphabet={x: tiles[t] for x, t in morphism.mapping if x != EPS})
     det = determinize(automaton)
     n = len(det.states)
     bound = record_count_bound(automaton.universe.size)

@@ -156,7 +156,8 @@ class TestObaMembership:
                         assert large(w)
 
     def test_queries_never_read_transition_sets(self, monkeypatch):
-        """With ``Tile.transitions`` raising, every answer equals the one given before."""
+        """With ``Tile.transitions`` raising, every answer equals the one given before.  The
+        ε-complete conversions map ε to a tile, so their periods made only of ε are refused."""
         cases = [(name, a, None) for name, a in determinization_corpus()]
         cases += [("rabin-two-pair-morphism", *rabin_to_oba(rabin_two_pair()))]
         cases += [("rabin-behavioural-morphism", *rabin_to_oba(rabin_behavioral_two_pair()))]
@@ -166,8 +167,15 @@ class TestObaMembership:
             letters = sorted(morphism.as_dict() if morphism is not None else a.alphabet)
             bounds = (2, 3) if len(letters) <= 3 else (1, 2)
             queries.append((name, a, morphism, list(enumerate_up_words(letters, *bounds))))
-        before = [[ObaOracle(a, morphism)(w) for w in words] for _, a, morphism, words in queries]
-        assert {v for answers in before for v in answers} == {True, False}
+
+        def answer(oracle, w):
+            try:
+                return oracle(w)
+            except UsageError as e:
+                return str(e)
+
+        before = [[answer(ObaOracle(a, morphism), w) for w in words] for _, a, morphism, words in queries]
+        assert {v for answers in before for v in answers} == {True, False, "period must contain a non-ε letter"}
 
         def unread(tile):
             raise AssertionError("a membership query read Tile.transitions")
@@ -175,7 +183,7 @@ class TestObaMembership:
         monkeypatch.setattr(Tile, "transitions", property(unread))
         for (name, a, morphism, words), answers in zip(queries, before):
             oracle = ObaOracle(a, morphism)
-            assert [oracle(w) for w in words] == answers, name
+            assert [answer(oracle, w) for w in words] == answers, name
 
 
 class TestOmegaPower:
@@ -464,3 +472,26 @@ class TestDpaOracle:
         )
         assert DpaOracle(d)(up((), ("a", "b")))
         assert not DpaOracle(d)(up(("a",), ("b",)))
+
+
+def test_every_oracle_refuses_the_same_periods():
+    """An empty period, and one made only of ε when ε is one of the oracle's letters, are the
+    same usage errors in all three oracles, from any state; no refused period gets an entry."""
+    det = determinize(inf_a())
+    aug = apply_eps_completion(det)
+    back, morphism = parity_to_oba(aug)
+    oracles = [ObaOracle(inf_a()), ObaOracle(back, morphism), DpaOracle(det), NpaOracle(aug)]
+    with_eps = oracles[1], oracles[3]
+    for oracle in oracles:
+        state = oracle.after(())
+        refused = [((), "period must be nonempty")]
+        if oracle in with_eps:
+            refused += [((EPS,) * k, "period must contain a non-ε letter") for k in (1, 2)]
+        else:
+            refused += [((EPS,), "unknown letter 'eps'")]
+        for period, message in refused:
+            with pytest.raises(UsageError) as e:
+                oracle.accepts(state, period)
+            assert str(e.value) == message, (oracle, period)
+            assert period not in oracle._period
+        assert oracle.accepts(state, ("a",))

@@ -280,6 +280,37 @@ class TestCommands:
         assert main(["equiv", str(src), back, "--max-prefix", "2", "--max-period", "3"]) == OK
         assert "equal within bounds" in capsys.readouterr().out
 
+    def test_all_eps_period_is_refused_alike(self, tmp_path, capsys):
+        """``--period eps`` is the same usage error on an ε-complete parity automaton and on its
+        conversion, whose morphism maps ε to a tile."""
+        aug, back = str(tmp_path / "aug.json"), str(tmp_path / "back.json")
+        write_doc(parity_to_doc(apply_eps_completion(determinize(fig_inf_aa_fin_bb()))), aug)
+        assert main(["convert", "parity", aug, "-o", back]) == OK
+        capsys.readouterr()
+        for path in (aug, back):
+            for period in ("eps", "eps eps"):
+                assert main(["member", path, "--prefix", "a", "--period", period]) == USAGE
+                assert capsys.readouterr() == ("", "usage error: period must contain a non-ε letter\n")
+
+    def test_determinize_reads_the_documents_letters(self, tmp_path, capsys):
+        """``determinize`` of a ``convert`` output is over its external letters, without ε: after
+        ``convert rabin``, and after ``convert parity`` of an ε-completion, ``equiv`` of the
+        conversion and its determinization exits 0."""
+        spec = rabin_two_pair()
+        rabin = {"alphabet": list(spec.alphabet), "pairs": [{"G": sorted(g), "R": sorted(r)} for g, r in spec.pairs]}
+        (tmp_path / "spec.json").write_text(json.dumps(rabin))
+        aug = str(tmp_path / "aug.json")
+        write_doc(parity_to_doc(apply_eps_completion(determinize(fig_inf_aa_fin_bb()))), aug)
+        for argv in (["convert", "rabin", str(tmp_path / "spec.json")], ["convert", "parity", aug]):
+            oba, det = str(tmp_path / "oba.json"), str(tmp_path / "det.json")
+            assert main([*argv, "-o", oba]) == OK
+            assert main(["determinize", oba, "-o", det]) == OK
+            _, _, morphism = load_document(oba)
+            assert json.loads(Path(det).read_text())["alphabet"] == sorted(set(morphism.as_dict()) - {"eps"})
+            capsys.readouterr()
+            assert main(["equiv", oba, det]) == OK, argv
+            assert "equal within bounds" in capsys.readouterr().out
+
     def test_equiv_counterexample(self, inf_a_file, tmp_path, capsys):
         other = tmp_path / "other.json"
         other.write_text(
@@ -809,6 +840,7 @@ class TestHashSeedIndependence:
             ["convert", "rabin", "rabin.json", "-o", "rabin.oba.json"],
             ["determinize", "rabin.oba.json", "-o", "rabin.det.json"],
             ["stats", "rabin.oba.json"],
+            ["determinize", "fig-aa-bb.oba.json", "-o", "fig-aa-bb.oba.det.json"],
         ]
         # two faults each, which frozenset order would name by hash seed
         for name, rows in (
@@ -841,6 +873,6 @@ class TestHashSeedIndependence:
         # success, not ε-complete or invalid, usage, validation error
         assert len(codes) == len(argv) and set(codes) == {b"0", b"1", b"2", b"3"}
         assert (out0, err0) == (out5, err5)
-        assert files0.keys() == files5.keys() and len(files0) == 25
+        assert files0.keys() == files5.keys() and len(files0) == 26
         for name in files0:
             assert files0[name] == files5[name], name

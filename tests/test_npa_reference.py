@@ -115,6 +115,8 @@ class RefNpaOracle:
 
     def accepts(self, state, period):
         _require_letters(self._letters, period)
+        if not period:
+            raise UsageError("period must be nonempty")
         if all(x == EPS for x in period):
             raise UsageError("period must contain a non-ε letter")
         v, acc = self._entry(period)

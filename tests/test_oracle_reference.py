@@ -28,11 +28,12 @@ in shuffled order, must get the same answer from both.
 ``DpaOracle`` is checked against ``RefDpaOracle``, the lap loop it ran
 before it had period elements: the run from one state, one lap of the
 period at a time, until a lap ends where an earlier one did.  The library
-decides every state at once from the period's interned profile, stepped one
-letter at a time or multiplied out.  Both must agree from every state, and
-from a dead run (None), on every period up to four letters, asked shortest
-first and in shuffled order, and on one 2,000-letter period, and raise the
-same usage errors.
+decides the asked state from the period's interned profile, stepped one
+letter at a time or multiplied out, and keeps the verdict on the profile.
+Both must agree from every state, and from a dead run (None), on every
+period up to four letters, asked shortest first and in shuffled order, on
+random periods of the 81-letter n = 4 horizontal-complete determinization,
+and on one 2,000-letter period, and raise the same usage errors.
 """
 
 import dataclasses
@@ -42,6 +43,7 @@ import random
 import pytest
 
 from obat import (
+    EPS,
     DpaOracle,
     Morphism,
     ObaOracle,
@@ -196,6 +198,10 @@ class RefObaOracle:
 
     def accepts(self, state, period):
         self._check_letters(period)
+        if not period:
+            raise UsageError("period must be nonempty")
+        if EPS in self._letters and set(period) == {EPS}:
+            raise UsageError("period must contain a non-ε letter")
         return self._decide(state, period)
 
     def member(self, w):
@@ -319,12 +325,19 @@ def test_conversions_with_morphisms():
     cases = [("rabin-two-pair", *rabin_to_oba(rabin_two_pair()))]
     cases.append(("rabin-behavioural", *rabin_to_oba(rabin_behavioral_two_pair())))
     cases += [(f"eps-{name}", *parity_to_oba(p)) for name, p in eps_complete_corpus()]
+    refused = "period must contain a non-ε letter"  # a period made only of ε, mapped to a tile
+    seen = set()
     for name, a, morphism in cases:
         letters = sorted(morphism.as_dict())
         verdicts = _check(name, a, _words(rng, letters), morphism)
-        assert verdicts == {True, False}, name
+        if EPS in letters:  # some ε-complete conversions accept every word with a real letter
+            assert {True, refused} <= verdicts <= {True, False, refused}, name
+        else:
+            assert verdicts == {True, False}, name
+        seen |= verdicts
         outside = [up(letters[:1], ("zz",)), up(("zz",), letters[:1]), up((), (a.letters[0],))]
         _check(f"{name}-outside-domain", a, outside, morphism)
+    assert seen == {True, False, refused}
 
 
 def test_unknown_letters_and_missing_tiles():
@@ -429,7 +442,8 @@ def test_stepped_and_class_routes_agree():
     morphism), asked in ``finite_words`` order, where every period longer than one letter
     steps from its one-letter-shorter period, and in shuffled order, where both routes
     occur.  Each answer is the per-period SCC search's, and ``accepts`` from every {0..m}
-    is the set-based reference's."""
+    is the set-based reference's.  A period made only of ε is refused and gets no entry, so
+    in ``finite_words`` order a period that starts with ε takes the class route."""
     rng = random.Random(20261108)
     sizes, stepped, classed = set(), 0, 0
     for name, a, morphism in _route_cases(rng):
@@ -438,6 +452,11 @@ def test_stepped_and_class_routes_agree():
         letters = sorted(morphism.as_dict()) if morphism is not None else a.letters
         periods = list(finite_words(letters, 5 if len(letters) <= 4 else 3, min_len=1))
         ref, probe = RefObaOracle(a, morphism), ObaOracle(a, morphism)
+        for v in [v for v in periods if set(v) == {EPS}]:
+            periods.remove(v)
+            for oracle, state in ((ref, frozenset(range(n))), (probe, n - 1)):
+                with pytest.raises(UsageError, match="^period must contain a non-ε letter$"):
+                    oracle.accepts(state, v)
         want = {}
         for v in periods:
             verdicts = [ref.accepts(frozenset(range(m + 1)), v) for m in range(-1, n)]
@@ -452,7 +471,8 @@ def test_stepped_and_class_routes_agree():
             assert set(oracle._period) == set(periods), name
             tiles = sum(tile is not None for tile, _ in oracle._period.values())
             if not shuffled:
-                assert tiles == len(periods) and not oracle._acc, name
+                led_by_eps = sum(v[0] == EPS for v in periods)
+                assert tiles == len(periods) - led_by_eps and bool(oracle._acc) == bool(led_by_eps), name
             else:
                 stepped += tiles
                 classed += len(periods) - tiles
@@ -596,6 +616,43 @@ def test_dpa_long_period():
         for state in (*d.states, None):
             assert stepped.accepts(state, period) == ref.accepts(state, period), (name, state)
     assert verdicts == {True, False}
+
+
+def test_dpa_decides_only_the_asked_states():
+    """On the determinization of the horizontal-complete alphabet at n = 4 (11 states, 81
+    letters), random periods asked in random order mostly have no shorter entry and are
+    multiplied out.  Each is asked first from a random few states and None, then from every
+    state: every verdict is the lap loop's, and an element holds a verdict for exactly the
+    state indices asked of it, which its equal-profile periods share; None is asked at the
+    sink, the last index."""
+    u = StateUniverse(tuple(f"q{i}" for i in range(4)))
+    d = determinize(OrderedBuchiAutomaton(u, frozenset(range(4)), horizontal_complete_alphabet(u)))
+    assert len(d.states) == 11
+    letters = sorted(d.effective_alphabet)
+    rng = random.Random(20261113)
+    periods = list({tuple(rng.choices(letters, k=rng.randint(1, 8))): None for _ in range(300)})
+    ref, lib = RefDpaOracle(d), DpaOracle(d)
+    index = {p: i for i, p in enumerate(d.states)}
+    index[None] = len(d.states)
+
+    def decided(element):
+        return {i for i, verdict in enumerate(element.accepting) if verdict is not None}
+
+    asked, verdicts, multiplied = {}, set(), 0
+    for v in periods:
+        multiplied += v[:-1] not in lib._period
+        for state in (*rng.sample(d.states, rng.randint(0, 3)), None):
+            want = ref.accepts(state, v)
+            verdicts.add(want)
+            assert lib.accepts(state, v) == want, (v, state)
+            element = lib._period[v]
+            asked.setdefault(element, set()).add(index[state])
+            assert decided(element) == asked[element], v
+    assert multiplied > 0.9 * len(periods) and verdicts == {True, False}
+    for v in rng.sample(periods, len(periods)):
+        for state in d.states:
+            assert lib.accepts(state, v) == ref.accepts(state, v), (v, state)
+        assert decided(lib._period[v]) == set(index.values()), v
 
 
 def test_dpa_usage_errors():

@@ -54,8 +54,7 @@ class UPWord:
     period: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.period:
-            raise UsageError("UP word needs a nonempty period")
+        _check_period(frozenset(), self.period)  # the oracles' rule; ε is refused only by an oracle that reads it
 
     def __str__(self) -> str:
         u = " ".join(self.prefix) or "ε"
@@ -538,17 +537,23 @@ def _profile_mul(a: _Profile, b: _Profile) -> _Profile:
     return tuple(out)
 
 
-def _profile_verdict(profile: _Profile, i: int) -> bool:
+def _profile_verdict(profile: _Profile, accepting: list[bool | None], i: int) -> bool:
     """Whether the run from state index ``i`` on the profile's period, repeated, is accepting:
     lap after lap it follows the profile's functional graph until it closes a cycle, and it is
-    accepting iff the least priority on that cycle is even."""
+    accepting iff the least priority on that cycle is even.  Every state the walk passes ends
+    on the same cycle, so each gets the verdict in ``accepting``; a state that already has one
+    ends the walk."""
     lap: dict[int, int] = {}  # state index -> the lap that started there
     least: list[int] = []  # per lap, the least priority read
-    while i not in lap:
+    while (verdict := accepting[i]) is None and i not in lap:
         lap[i] = len(least)
         c, i = profile[i]
         least.append(c)
-    return min(least[lap[i]:]) % 2 == 0  # the cycle's laps: from the one that started at i on
+    if verdict is None:  # the walk closed a cycle: its laps are from the one that started at i on
+        verdict = min(least[lap[i]:]) % 2 == 0
+    for j in lap:
+        accepting[j] = verdict
+    return verdict
 
 
 class DpaOracle(_PeriodElements):
@@ -561,11 +566,11 @@ class DpaOracle(_PeriodElements):
     priority below every other, so every dead run has the same entry and
     none is accepting.  The run on period^ω follows the profile from lap to
     lap, so ``accepts(s, v)`` walks s through v's profile until the run
-    closes a cycle (:func:`_profile_verdict`), the first time s is asked, and
-    keeps the verdict on the element under s's index.  A dead run, None, and
-    any name that is not a state are asked at the sink.  Profiles reach
-    periods through the tables of :class:`_PeriodElements`, one letter at a
-    time, and are interned per distinct profile.
+    closes a cycle or meets a state with a verdict (:func:`_profile_verdict`),
+    and keeps the verdict under the index of every state it passed.  A dead
+    run, None, and any name that is not a state are asked at the sink.
+    Profiles reach periods through the tables of :class:`_PeriodElements`,
+    one letter at a time, and are interned per distinct profile.
     """
 
     def __init__(self, d: ParityAutomaton):
@@ -597,7 +602,7 @@ class DpaOracle(_PeriodElements):
 
     @staticmethod
     def _accepting(profile: _Profile) -> list[bool | None]:
-        return [None] * len(profile)  # a verdict per state index, filled as states are asked
+        return [None] * len(profile)  # a verdict per state index, filled as walks pass states
 
     def after(self, prefix: tuple[str, ...]) -> str | None:
         """The run state after ``prefix``; None once the run has died."""
@@ -614,7 +619,7 @@ class DpaOracle(_PeriodElements):
         i = self._index.get(state, self._sink)  # a dead run, or no state at all, is at the sink
         verdict = element.accepting[i]
         if verdict is None:
-            verdict = element.accepting[i] = _profile_verdict(element.value, i)
+            verdict = _profile_verdict(element.value, element.accepting, i)
         return verdict
 
     def member(self, w: UPWord) -> bool:

@@ -63,33 +63,35 @@ def _load_json(path: str) -> dict:
         with open(path, "rb") as f:
             data = f.read()
     except OSError as e:
-        raise ValidationError(f"{path}: {e.strerror or e}") from None
+        raise ValidationError(e.strerror or str(e)) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise ValidationError(f"{path}: not valid UTF-8: {e.reason} at byte offset {e.start}") from None
+        raise ValidationError(f"not valid UTF-8: {e.reason} at byte offset {e.start}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        raise ValidationError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # the only other: an integer longer than int() may convert
+        raise ValidationError(f"parse error: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise ValidationError(f"{path}: parse error: arrays or objects nested too deeply") from None
-    return _typed(doc, dict, "top level", path)
+        raise ValidationError("parse error: arrays or objects nested too deeply") from None
+    return _typed(doc, dict, "top level")
 
 
 _JSON_NAMES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
-def _typed(value, kind: type, what: str, path: str):
+def _typed(value, kind: type, what: str):
     """``value`` if it is a JSON ``kind`` (dict or list), else a validation error naming ``what``."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
+        raise ValidationError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {type(value).__name__}")
     return value
 
 
-def _require(columns, kind: type, what: str, path: str) -> None:
+def _require(columns, kind: type, what: str) -> None:
     """A validation error unless every value in ``columns`` is of type ``kind`` (true and 1.0 are not ints).
 
     One type-set test over the columns decides.  Only when it fails are
@@ -100,17 +102,10 @@ def _require(columns, kind: type, what: str, path: str) -> None:
     for row in zip(*columns):
         for x in row:
             if type(x) is not kind:
-                raise ValidationError(f"{path}: {what} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}")
+                raise ValidationError(f"{what} must be a JSON {_JSON_NAMES[kind]}, got {type(x).__name__}")
 
 
-def _universe(names: list, path: str) -> StateUniverse:
-    try:
-        return StateUniverse(tuple(names))
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
-
-
-def _entry_types(letters: list, path: str) -> None:
+def _entry_types(letters: list) -> None:
     """A validation error unless every generator entry of every letter is an int.
 
     ``letters`` holds (letter, rows) pairs in document order.  One type-set
@@ -120,10 +115,10 @@ def _entry_types(letters: list, path: str) -> None:
     if {*map(type, chain.from_iterable(chain.from_iterable(rows for _, rows in letters)))} <= {int}:
         return
     for letter, rows in letters:
-        _require(tuple(zip(*rows)), int, f"tile {letter!r} entry", path)
+        _require(tuple(zip(*rows)), int, f"tile {letter!r} entry")
 
 
-def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
+def _parse_oba(doc: dict) -> tuple[OrderedBuchiAutomaton, Morphism | None]:
     """The automaton and morphism of an ordered-Büchi document, or its first fault in document order.
 
     Each letter is checked and built in turn, but the entry types of all
@@ -135,111 +130,109 @@ def _parse_oba(doc: dict, path: str) -> tuple[OrderedBuchiAutomaton, Morphism | 
     """
     letters: list[tuple[str, list]] = []  # (letter, generator rows) for each letter read
     try:
-        universe = _universe(_typed(doc["states"], list, "states", path), path)
-        initial = frozenset(universe.index(s) for s in _typed(doc["initial"], list, "initial", path))
+        universe = StateUniverse(tuple(_typed(doc["states"], list, "states")))
+        initial = frozenset(universe.index(s) for s in _typed(doc["initial"], list, "initial"))
         alphabet: dict[str, Tile] = {}
-        for letter, body in _typed(doc["alphabet"], dict, "alphabet", path).items():
+        for letter, body in _typed(doc["alphabet"], dict, "alphabet").items():
             if "skeleton" in body:
                 build, key = upward_closure, "skeleton"
             elif "transitions" in body:
                 build, key = tile_of, "transitions"
             else:
-                raise ValidationError(f"{path}: tile {letter!r} needs 'skeleton' or 'transitions'")
+                raise ValidationError(f"tile {letter!r} needs 'skeleton' or 'transitions'")
             rows = body[key]
             if not isinstance(rows, list):  # the message is formatted only for a fault
-                _typed(rows, list, f"tile {letter!r} {key}", path)
+                _typed(rows, list, f"tile {letter!r} {key}")
             triples = [(p, c, q) for (p, c, q) in rows]
             letters.append((letter, triples))
             try:
                 alphabet[letter] = build(universe, frozenset(triples))
             except NotUpwardClosed as e:
-                raise ValidationError(f"{path}: tile-not-upward-closed: tile {letter!r} {e}") from None
+                raise ValidationError(f"tile-not-upward-closed: tile {letter!r} {e}") from None
             except ValidationError as e:
-                raise ValidationError(f"{path}: tile {letter!r}: {e}") from None
+                raise ValidationError(f"tile {letter!r}: {e}") from None
     except (KeyError, TypeError, ValueError) as e:
-        _entry_types(letters, path)
+        _entry_types(letters)
         if isinstance(e, ValidationError):
             raise
-        raise ValidationError(f"{path}: malformed ordered-buchi document ({e})") from None
-    _entry_types(letters, path)
-    try:
-        a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+        raise ValidationError(f"malformed ordered-buchi document ({e})") from None
+    _entry_types(letters)
+    a = OrderedBuchiAutomaton(universe=universe, initial=initial, alphabet=alphabet)
     morphism = None
     if "morphism" in doc:
-        morphism = Morphism.from_dict(_typed(doc["morphism"], dict, "morphism", path))
+        morphism = Morphism.from_dict(_typed(doc["morphism"], dict, "morphism"))
         try:
             _check_morphism(morphism, alphabet)
         except UsageError as e:
-            raise ValidationError(f"{path}: {e}") from None
+            raise ValidationError(str(e)) from None
     return a, morphism
 
 
-def _parse_parity(doc: dict, path: str, deterministic: bool) -> ParityAutomaton:
-    record_doc = _typed(doc["records"], dict, "records", path) if "records" in doc else None
+def _parse_parity(doc: dict, deterministic: bool) -> ParityAutomaton:
+    record_doc = _typed(doc["records"], dict, "records") if "records" in doc else None
     try:
-        states = tuple(_typed(doc["states"], list, "states", path))
-        initial = frozenset(_typed(doc["initial"], list, "initial", path))
-        lo, hi = _typed(doc["index"], list, "index", path)
-        _require(((lo, hi),), int, "index bound", path)
-        transitions = [(p, x, c, q) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions", path)]
+        states = tuple(_typed(doc["states"], list, "states"))
+        initial = frozenset(_typed(doc["initial"], list, "initial"))
+        lo, hi = _typed(doc["index"], list, "index")
+        _require(((lo, hi),), int, "index bound")
+        transitions = [(p, x, c, q) for (p, x, c, q) in _typed(doc["transitions"], list, "transitions")]
         ends, letters, priorities, dsts = zip(*transitions) if transitions else ((),) * 4
-        _require((ends, dsts), str, "transition endpoint", path)
-        _require((letters,), str, "transition letter", path)
-        _require((priorities,), int, "transition priority", path)
+        _require((ends, dsts), str, "transition endpoint")
+        _require((letters,), str, "transition letter")
+        _require((priorities,), int, "transition priority")
         alphabet = None
         if "alphabet" in doc:
-            alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet", path))
+            alphabet = frozenset(_typed(doc["alphabet"], list, "alphabet"))
         records = universe = None
         if record_doc is not None:
-            universe = _universe(_typed(doc["universe"], list, "universe", path), path)
+            universe = StateUniverse(tuple(_typed(doc["universe"], list, "universe")))
             records = {
-                name: tuple(universe.index(s) for s in _typed(entries, list, f"record {name!r}", path))
+                name: tuple(universe.index(s) for s in _typed(entries, list, f"record {name!r}"))
                 for name, entries in record_doc.items()
             }
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, ValidationError):
             raise
-        raise ValidationError(f"{path}: malformed parity document ({e})") from None
+        raise ValidationError(f"malformed parity document ({e})") from None
+    return ParityAutomaton(
+        states=states,
+        initial=initial,
+        index=(lo, hi),
+        transitions=frozenset(transitions),
+        deterministic=deterministic,
+        alphabet=alphabet,
+        records=records,
+        universe=universe,
+    )
+
+
+def load_document(path: str):
+    """Returns (kind, automaton, morphism-or-None); every validation error's message starts with ``path``."""
     try:
-        return ParityAutomaton(
-            states=states,
-            initial=initial,
-            index=(lo, hi),
-            transitions=frozenset(transitions),
-            deterministic=deterministic,
-            alphabet=alphabet,
-            records=records,
-            universe=universe,
-        )
+        doc = _load_json(path)
+        kind = doc.get("kind")
+        if kind == "ordered-buchi":
+            a, m = _parse_oba(doc)
+            return kind, a, m
+        if kind in ("parity", "det-parity"):
+            return kind, _parse_parity(doc, deterministic=(kind == "det-parity")), None
+        raise ValidationError(f"unknown or missing kind {kind!r}")
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None
 
 
-def load_document(path: str):
-    """Returns (kind, automaton, morphism-or-None)."""
-    doc = _load_json(path)
-    kind = doc.get("kind")
-    if kind == "ordered-buchi":
-        a, m = _parse_oba(doc, path)
-        return kind, a, m
-    if kind in ("parity", "det-parity"):
-        return kind, _parse_parity(doc, path, deterministic=(kind == "det-parity")), None
-    raise ValidationError(f"{path}: unknown or missing kind {kind!r}")
-
-
 def parse_rabin_spec(path: str) -> RabinSpec:
-    doc = _load_json(path)
+    """The Rabin specification in ``path``; every validation error's message starts with ``path``."""
     try:
-        alphabet = tuple(_typed(doc["alphabet"], list, "alphabet", path))
-        pairs = tuple(
-            (frozenset(_typed(p["G"], list, "G", path)), frozenset(_typed(p["R"], list, "R", path)))
-            for p in _typed(doc["pairs"], list, "pairs", path)
-        )
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"{path}: malformed Rabin specification ({e})") from None
-    try:
+        doc = _load_json(path)
+        try:
+            alphabet = tuple(_typed(doc["alphabet"], list, "alphabet"))
+            pairs = tuple(
+                (frozenset(_typed(p["G"], list, "G")), frozenset(_typed(p["R"], list, "R")))
+                for p in _typed(doc["pairs"], list, "pairs")
+            )
+        except (KeyError, TypeError) as e:
+            raise ValidationError(f"malformed Rabin specification ({e})") from None
         return RabinSpec(alphabet=alphabet, pairs=pairs)
     except ValidationError as e:
         raise ValidationError(f"{path}: {e}") from None

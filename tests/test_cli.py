@@ -292,6 +292,12 @@ class TestCommands:
                 assert main(["member", path, "--prefix", "a", "--period", period]) == USAGE
                 assert capsys.readouterr() == ("", "usage error: period must contain a non-ε letter\n")
 
+    def test_empty_period_is_refused_as_the_oracles_word_it(self, inf_a_file, genbuchi_file, capsys):
+        for path in (inf_a_file, genbuchi_file):
+            for period in ("", " "):
+                assert main(["member", path, "--prefix", "a", "--period", period]) == USAGE
+                assert capsys.readouterr() == ("", "usage error: period must be nonempty\n")
+
     def test_determinize_reads_the_documents_letters(self, tmp_path, capsys):
         """``determinize`` of a ``convert`` output is over its external letters, without ε: after
         ``convert rabin``, and after ``convert parity`` of an ε-completion, ``equiv`` of the
@@ -472,6 +478,33 @@ class TestCommands:
         assert capsys.readouterr().out == f"{path}: parse error: arrays or objects nested too deeply\n"
         assert main(["stats", str(path)]) == INVALID
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_overlong_integer_invalid(self, tmp_path, capsys):
+        """An integer with more digits than ``int`` converts from text is one parse error line
+        from every command that reads the file: ``validate`` prints it, the others exit 3."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python converts integers of any length")
+        path = tmp_path / "long.json"
+        bound = "9" * (limit + 1)
+        path.write_text(f'{{"kind": "parity", "states": ["x"], "initial": ["x"], "index": [0, {bound}], "transitions": []}}')
+        message = f"{path}: parse error: an integer has more than {limit} digits"
+        assert main(["validate", str(path)]) == FALSE
+        assert capsys.readouterr() == (message + "\n", "")
+        p = str(path)
+        for argv in (
+            ["member", p, "--period", "a"],
+            ["determinize", p],
+            ["eps-complete", p],
+            ["convert", "rabin", p],
+            ["convert", "parity", p],
+            ["equiv", p, p],
+            ["posi-check", p],
+            ["stats", p],
+            ["dot", p],
+        ):
+            assert main(argv) == INVALID, argv
+            assert capsys.readouterr() == ("", f"validation error: {message}\n"), argv
 
     @pytest.mark.parametrize(
         "data, message",
@@ -712,14 +745,34 @@ class TestCommands:
             ({"alphabet": "ab", "pairs": [{"G": ["a"], "R": []}]}, "alphabet must be a JSON array, got str"),
             ({"alphabet": ["a", "b"], "pairs": [{"G": "a", "R": []}]}, "G must be a JSON array, got str"),
             ({"alphabet": ["a"], "pairs": {"G": ["a"], "R": []}}, "pairs must be a JSON array, got dict"),
+            (None, "No such file or directory"),
+            ('{"alphabet": ["a"],', "parse error at line 1, column 20: Expecting property name enclosed in double quotes"),
+            (["a"], "top level must be a JSON object, got list"),
+            ({"alphabet": ["a"]}, "malformed Rabin specification ('pairs')"),
+            ({"alphabet": ["a"], "pairs": []}, "Rabin specification needs at least one pair"),
+            ({"alphabet": ["a"], "pairs": [{"G": ["a"], "R": ["b"]}]}, "Rabin pair uses letters outside the alphabet"),
         ],
-        ids=["alphabet-string", "letters-string", "pairs-object"],
+        ids=[
+            "alphabet-string",
+            "letters-string",
+            "pairs-object",
+            "missing-file",
+            "bad-json",
+            "top-level-array",
+            "no-pairs",
+            "empty-pairs",
+            "letter-outside-alphabet",
+        ],
     )
     def test_malformed_rabin_spec_invalid(self, tmp_path, capsys, spec, message):
+        """Every fault of a Rabin specification is one stderr line with the file's path once,
+        from a file that is missing or not JSON as from a malformed document; ``spec`` is the
+        document, its text when a string, or None for no file."""
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
+        if spec is not None:
+            path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         assert main(["convert", "rabin", str(path)]) == INVALID
-        assert capsys.readouterr().err == f"validation error: {path}: {message}\n"
+        assert capsys.readouterr() == ("", f"validation error: {path}: {message}\n")
 
     def test_non_string_rabin_letter_invalid(self, tmp_path, capsys):
         path = tmp_path / "spec.json"

@@ -319,12 +319,25 @@ def _same(new, ref, *args):
     return got
 
 
+def _at_path(parse):
+    """``parse`` called as the reference is, with a path after the document; its validation
+    errors get that path as their prefix, as ``load_document`` gives them."""
+
+    def parse_at(doc, path, *args):
+        try:
+            return parse(doc, *args)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
+
+    return parse_at
+
+
 def _parse(doc):
     """The new and the per-row parse of a document, by its kind."""
     kind = doc.get("kind") if type(doc) is dict else None
     if kind in ("parity", "det-parity"):
-        return _same(_parse_parity, ref_parse_parity, doc, PATH, kind == "det-parity")
-    return _same(_parse_oba, ref_parse_oba, doc, PATH)
+        return _same(_at_path(_parse_parity), ref_parse_parity, doc, PATH, kind == "det-parity")
+    return _same(_at_path(_parse_oba), ref_parse_oba, doc, PATH)
 
 
 def _json(doc):
